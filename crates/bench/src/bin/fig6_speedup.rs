@@ -10,6 +10,7 @@ use trrip_policies::PolicyKind;
 
 fn main() {
     let options = HarnessOptions::from_args();
+    let obs = options.obs_session("fig6_speedup");
     let config = options.sim_config(PolicyKind::Srrip);
     let specs = options.selected_proxies();
     eprintln!("preparing {} workloads…", specs.len());
@@ -47,4 +48,5 @@ fn main() {
          CLIP +1.6, EMISSARY +0.5, TRRIP-1 +3.9, TRRIP-2 +3.9"
     );
     options.write_report("fig6_speedup.txt", &format!("{table}\n{}", table.to_csv()));
+    obs.finish(&[]);
 }

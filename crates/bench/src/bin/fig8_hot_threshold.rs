@@ -19,6 +19,7 @@ const BENCHES: [&str; 6] = ["abseil", "deepsjeng", "gcc", "omnetpp", "rapidjson"
 
 fn main() {
     let options = HarnessOptions::from_args();
+    let obs = options.obs_session("fig8_hot_threshold");
     let base_config = options.sim_config(PolicyKind::Trrip1);
     let specs: Vec<_> = options
         .selected_proxies()
@@ -83,4 +84,5 @@ fn main() {
          speedup needs selectivity — 100% (everything hot, ≈ CLIP) loses to 99%"
     );
     options.write_report("fig8_hot_threshold.txt", &format!("(a)\n{table_a}\n(b)\n{table_b}"));
+    obs.finish(&[]);
 }

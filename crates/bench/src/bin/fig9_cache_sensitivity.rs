@@ -14,6 +14,7 @@ use trrip_sim::SimConfig;
 
 fn main() {
     let options = HarnessOptions::from_args();
+    let obs = options.obs_session("fig9_cache_sensitivity");
     let base_config = options.sim_config(PolicyKind::Srrip);
     let specs = options.selected_proxies();
     eprintln!("preparing {} workloads…", specs.len());
@@ -81,4 +82,5 @@ fn main() {
          compile-scope limit) and grow with associativity"
     );
     options.write_report("fig9_cache_sensitivity.txt", &format!("(a)\n{table_a}\n(b)\n{table_b}"));
+    obs.finish(&[]);
 }

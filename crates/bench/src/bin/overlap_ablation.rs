@@ -19,6 +19,7 @@ use trrip_sim::SimConfig;
 
 fn main() {
     let options = HarnessOptions::from_args();
+    let obs = options.obs_session("overlap_ablation");
     let base = options.sim_config(PolicyKind::Srrip);
     let specs = options.selected_proxies();
     let workloads = options.prepare(&specs, &base, base.classifier);
@@ -70,4 +71,5 @@ fn main() {
          DropMixed keeps TRRIP safe (untagged pages default to RRIP) at any size"
     );
     options.write_report("overlap_ablation.txt", &format!("{table}\n{table_b}"));
+    obs.finish(&[]);
 }

@@ -8,6 +8,7 @@ use trrip_policies::PolicyKind;
 
 fn main() {
     let options = HarnessOptions::from_args();
+    let obs = options.obs_session("table3_mpki");
     let config = options.sim_config(PolicyKind::Srrip);
     let specs = options.selected_proxies();
     eprintln!("preparing {} workloads…", specs.len());
@@ -71,4 +72,5 @@ fn main() {
         &mut report,
     );
     options.write_report("table3_mpki.txt", &report);
+    obs.finish(&[]);
 }

@@ -13,9 +13,8 @@ use std::path::{Path, PathBuf};
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    ensure_warm_prefixes, policy_sweep_with, replay_sweep_checkpointed, replay_sweep_sharded,
-    replay_sweep_warm_prefix, replay_sweep_with, CheckpointStore, PreparedWorkload, SimConfig,
-    SweepResult, TraceStore,
+    ensure_warm_prefixes, policy_sweep_with, replay_sweep_sharded, replay_sweep_warm_prefix,
+    replay_sweep_with, CheckpointStore, PreparedWorkload, SimConfig, SweepResult, TraceStore,
 };
 use trrip_workloads::WorkloadSpec;
 
@@ -33,17 +32,15 @@ options:
   --checkpoint-dir DIR
                    persist warmed (post-fast-forward) simulation state
                    into DIR and restore it on later sweeps, skipping
-                   warmup; requires --trace-dir
+                   warmup; a cold store records one shared warmup per
+                   workload and warm-starts every policy from it;
+                   requires --trace-dir
   --jobs N         cap worker threads for sweeps, preparation and trace
                    decode (default: available parallelism)
   --shards N       cut every (workload, policy) run into N chunk-aligned
                    segments chained through checkpoints, scheduled as a
                    DAG of segment tasks (default 1 = unsharded; N > 1
                    requires --checkpoint-dir)
-  --warm-prefix    share one recorded warmup per workload across every
-                   policy: record the policy-agnostic shared prefix
-                   once, warm-start each policy from its overlay or the
-                   warmup-tail replay (requires --checkpoint-dir)
   --ckpt-budget-bytes N
                    after the sweep, shrink the checkpoint store to at
                    most N bytes, evicting cheapest-to-rebuild artifacts
@@ -84,9 +81,6 @@ pub struct HarnessOptions {
     /// Segments each `(workload, policy)` run is cut into
     /// (`--shards N`, default 1 = unsharded).
     pub shards: usize,
-    /// Share one recorded warmup per workload across every policy
-    /// (`--warm-prefix`).
-    pub warm_prefix: bool,
     /// Post-sweep checkpoint-store byte budget
     /// (`--ckpt-budget-bytes N`); `None` = unbounded.
     pub ckpt_budget_bytes: Option<u64>,
@@ -108,7 +102,6 @@ impl Default for HarnessOptions {
             checkpoint_dir: None,
             jobs: trrip_sim::default_jobs(),
             shards: 1,
-            warm_prefix: false,
             ckpt_budget_bytes: None,
             metrics: false,
             obs_dir: None,
@@ -250,7 +243,6 @@ impl HarnessOptions {
                         return Err("--shards must be at least 1".to_owned());
                     }
                 }
-                "--warm-prefix" => options.warm_prefix = true,
                 "--ckpt-budget-bytes" => {
                     let v = value_of("--ckpt-budget-bytes")?;
                     let budget = v.parse().map_err(|_| {
@@ -268,7 +260,7 @@ impl HarnessOptions {
                     return Err(format!(
                         "unknown argument `{other}` (expected \
                          --scale/--bench/--out/--trace-dir/--checkpoint-dir/--jobs/--shards/\
-                         --warm-prefix/--ckpt-budget-bytes/--metrics/--obs-dir/--quiet)"
+                         --ckpt-budget-bytes/--metrics/--obs-dir/--quiet)"
                     ))
                 }
             }
@@ -281,11 +273,6 @@ impl HarnessOptions {
         if options.shards > 1 && options.checkpoint_dir.is_none() {
             return Err("--shards above 1 requires --checkpoint-dir (segments chain through \
                  persisted checkpoints) and therefore --trace-dir"
-                .to_owned());
-        }
-        if options.warm_prefix && options.checkpoint_dir.is_none() {
-            return Err("--warm-prefix requires --checkpoint-dir (the shared prefix and \
-                 per-policy overlays are persisted containers) and therefore --trace-dir"
                 .to_owned());
         }
         if options.ckpt_budget_bytes.is_some() && options.checkpoint_dir.is_none() {
@@ -307,11 +294,11 @@ impl HarnessOptions {
     /// both `--trace-dir` and `--checkpoint-dir` are given, decode-once
     /// fan-out replay from `--trace-dir` alone (capture-once/
     /// replay-many, trace decoded once per workload), and in-memory
-    /// trace generation otherwise. `--warm-prefix` prepends the
-    /// shared-warmup pre-pass to either checkpointed engine, so a cold
-    /// populating sweep pays one recorded warmup per workload instead
-    /// of one per policy. Results are bit-identical across every
-    /// combination; `--jobs` caps the worker threads.
+    /// trace generation otherwise. Both checkpointed engines run the
+    /// shared-warmup pre-pass first, so a cold populating sweep pays one
+    /// recorded warmup per workload instead of one per policy. Results
+    /// are bit-identical across every combination; `--jobs` caps the
+    /// worker threads.
     #[must_use]
     pub fn sweep(
         &self,
@@ -346,9 +333,7 @@ impl HarnessOptions {
             (Some(traces), Some(checkpoints)) if self.shards > 1 => {
                 let traces = TraceStore::new(traces);
                 let checkpoints = CheckpointStore::new(checkpoints);
-                if self.warm_prefix {
-                    ensure_warm_prefixes(self.jobs, workloads, config, &traces, &checkpoints);
-                }
+                ensure_warm_prefixes(self.jobs, workloads, config, &traces, &checkpoints);
                 replay_sweep_sharded(
                     self.jobs,
                     workloads,
@@ -359,15 +344,7 @@ impl HarnessOptions {
                     self.shards,
                 )
             }
-            (Some(traces), Some(checkpoints)) if self.warm_prefix => replay_sweep_warm_prefix(
-                self.jobs,
-                workloads,
-                config,
-                policies,
-                &TraceStore::new(traces),
-                &CheckpointStore::new(checkpoints),
-            ),
-            (Some(traces), Some(checkpoints)) => replay_sweep_checkpointed(
+            (Some(traces), Some(checkpoints)) => replay_sweep_warm_prefix(
                 self.jobs,
                 workloads,
                 config,
@@ -536,31 +513,6 @@ pub fn prepare_all(
     })
 }
 
-/// Appends one run object to a `BENCH_*.json` trajectory file — a JSON
-/// array the perf-tracking binaries (`bench_replay_fanout`,
-/// `bench_checkpoint`) extend one entry per run. An unrecognized or
-/// missing file starts a fresh array.
-///
-/// # Panics
-///
-/// Panics if the file cannot be written.
-pub fn append_trajectory(path: &Path, entry: &str) {
-    let content = match fs::read_to_string(path) {
-        Ok(existing) => {
-            let head = existing.trim_end();
-            match head.strip_suffix(']') {
-                Some(body) if body.trim_end().ends_with('[') => {
-                    format!("{}\n{entry}\n]\n", body.trim_end())
-                }
-                Some(body) => format!("{},\n{entry}\n]\n", body.trim_end()),
-                None => format!("[\n{entry}\n]\n"), // unrecognized: start fresh
-            }
-        }
-        Err(_) => format!("[\n{entry}\n]\n"),
-    };
-    fs::write(path, content).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-}
-
 /// Appends a section to EXPERIMENTS-style output and stdout at once.
 pub fn emit(report: &mut String, line: &str) {
     println!("{line}");
@@ -641,7 +593,6 @@ mod tests {
             (&["--trace-dir"], "--trace-dir"),
             (&["--checkpoint-dir"], "--checkpoint-dir"),
             (&["--checkpoint-dir", "c"], "--trace-dir"),
-            (&["--warm-prefix"], "--warm-prefix"),
             (&["--ckpt-budget-bytes"], "--ckpt-budget-bytes"),
             (&["--ckpt-budget-bytes", "0"], "--ckpt-budget-bytes"),
             (&["--ckpt-budget-bytes", "lots"], "--ckpt-budget-bytes"),
@@ -652,29 +603,6 @@ mod tests {
             let err = parse(args).unwrap_err();
             assert!(err.contains(flag), "error for {args:?} must name {flag}: {err}");
         }
-    }
-
-    #[test]
-    fn warm_prefix_requires_checkpoint_dir_and_parses_with_it() {
-        // Alone: rejected, naming both the flag and what it needs.
-        let err = parse(&["--warm-prefix"]).unwrap_err();
-        assert!(err.contains("--warm-prefix") && err.contains("--checkpoint-dir"), "{err}");
-        // With traces but no checkpoints: still rejected.
-        let err = parse(&["--warm-prefix", "--trace-dir", "t"]).unwrap_err();
-        assert!(err.contains("--warm-prefix") && err.contains("--checkpoint-dir"), "{err}");
-        // Fully specified: accepted, flag set.
-        let ok = parse(&["--warm-prefix", "--trace-dir", "t", "--checkpoint-dir", "c"])
-            .expect("valid")
-            .expect("not help");
-        assert!(ok.warm_prefix);
-        // Composes with --shards (the sharded engine gets the pre-pass).
-        let ok =
-            parse(&["--warm-prefix", "--shards", "2", "--trace-dir", "t", "--checkpoint-dir", "c"])
-                .expect("valid")
-                .expect("not help");
-        assert!(ok.warm_prefix && ok.shards == 2);
-        // Default: off.
-        assert!(!parse(&[]).expect("ok").expect("not help").warm_prefix);
     }
 
     #[test]

@@ -7,11 +7,17 @@
 //! line, written under `--obs-dir`, so a failed sweep can be replayed
 //! from its journal without re-running anything.
 //!
+//! A [`Journal`] is one such sink. The process has a default instance
+//! that the free functions ([`init`], [`event`], [`close`]) write to,
+//! which is what the instrumentation points across the workspace use;
+//! anything that needs a sink of its own creates another instance.
+//!
 //! Ordering: the sequence number is allocated under the same mutex that
 //! writes the line, so file order *is* seq order — globally, and
 //! therefore per thread too. The journal is bounded (`max_events`);
 //! past the cap events are counted as dropped and a final
-//! `journal_truncated` summary line records the loss on [`close`].
+//! `journal_truncated` summary line records the loss on
+//! [`Journal::close`].
 //!
 //! This module also owns the one consistent progress-line format that
 //! replaces the scattered `eprintln!`s: [`progress_line`] mirrors a
@@ -27,15 +33,13 @@ use std::sync::Mutex;
 use crate::json;
 use crate::span::{now_us, thread_id};
 
-/// Fast-path gate: one relaxed load tells an instrumentation point that
-/// no journal is open, without touching the mutex.
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-
 /// Suppresses the stderr mirror of progress lines (`--quiet`). Journal
 /// events are unaffected.
 static QUIET: AtomicBool = AtomicBool::new(false);
 
-static JOURNAL: Mutex<Option<JournalState>> = Mutex::new(None);
+/// The process journal the free functions ([`init`], [`event`],
+/// [`close`], [`journal_active`]) write to.
+static GLOBAL: Journal = Journal::new();
 
 #[derive(Debug)]
 struct JournalState {
@@ -84,44 +88,127 @@ pub struct JournalStats {
     pub path: PathBuf,
 }
 
-/// Opens the process journal at `path` (truncating any previous file),
-/// bounded to `max_events` lines. An already-open journal is closed
-/// first.
+/// A bounded JSONL event sink. The process has one default instance
+/// behind the free functions ([`init`], [`event`], [`close`],
+/// [`journal_active`]); code that wants a sink of its own — a test, a
+/// tool writing two journals — creates another with [`Journal::new`],
+/// and events sent to one never reach the other.
+#[derive(Debug)]
+pub struct Journal {
+    /// Fast-path gate: one relaxed load tells an instrumentation point
+    /// that this journal is closed, without touching the mutex.
+    active: AtomicBool,
+    state: Mutex<Option<JournalState>>,
+}
+
+impl Default for Journal {
+    fn default() -> Self {
+        Journal::new()
+    }
+}
+
+impl Journal {
+    /// A closed journal; [`Journal::open`] starts writing.
+    #[must_use]
+    pub const fn new() -> Journal {
+        Journal { active: AtomicBool::new(false), state: Mutex::new(None) }
+    }
+
+    /// Opens this journal at `path` (truncating any previous file),
+    /// bounded to `max_events` lines. An already-open file is replaced
+    /// without a truncation summary.
+    ///
+    /// # Errors
+    ///
+    /// File creation failures.
+    pub fn open(&self, path: &Path, max_events: u64) -> io::Result<()> {
+        let file = File::create(path)?;
+        let mut slot = self.state.lock().expect("journal poisoned");
+        *slot =
+            Some(JournalState { file, path: path.to_path_buf(), seq: 0, max_events, dropped: 0 });
+        self.active.store(true, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Closes this journal, appending a `journal_truncated` summary line
+    /// if the bound dropped events. Returns `None` when it was not open.
+    pub fn close(&self) -> Option<JournalStats> {
+        let mut slot = self.state.lock().expect("journal poisoned");
+        self.active.store(false, Ordering::Relaxed);
+        let mut state = slot.take()?;
+        if state.dropped > 0 {
+            let mut line = String::new();
+            begin_line(&mut line, state.seq, "journal_truncated");
+            line.push_str(",\"dropped\":");
+            line.push_str(&state.dropped.to_string());
+            line.push_str("}\n");
+            let _ = state.file.write_all(line.as_bytes());
+        }
+        let _ = state.file.flush();
+        Some(JournalStats { events_written: state.seq, dropped: state.dropped, path: state.path })
+    }
+
+    /// True when this journal is open (one relaxed load).
+    #[must_use]
+    pub fn active(&self) -> bool {
+        self.active.load(Ordering::Relaxed)
+    }
+
+    /// Records one event. A no-op (one relaxed load) when the journal is
+    /// closed. The line is built outside the lock; seq allocation and
+    /// the single `write` happen under it, so lines are never
+    /// interleaved and file order equals seq order.
+    pub fn event(&self, kind: &str, fields: &[(&str, Field<'_>)]) {
+        if !self.active() {
+            return;
+        }
+        // Build everything but the seq prefix outside the lock.
+        let mut tail = String::with_capacity(64);
+        for (name, value) in fields {
+            tail.push(',');
+            json::write_str(&mut tail, name);
+            tail.push(':');
+            value.write(&mut tail);
+        }
+        tail.push_str("}\n");
+
+        let mut slot = self.state.lock().expect("journal poisoned");
+        let Some(state) = slot.as_mut() else { return };
+        if state.seq >= state.max_events {
+            state.dropped += 1;
+            return;
+        }
+        let mut line = String::with_capacity(48 + tail.len());
+        begin_line(&mut line, state.seq, kind);
+        line.push_str(&tail);
+        if state.file.write_all(line.as_bytes()).is_ok() {
+            state.seq += 1;
+        } else {
+            state.dropped += 1;
+        }
+    }
+}
+
+/// Opens the process journal at `path` (see [`Journal::open`]).
 ///
 /// # Errors
 ///
 /// File creation failures.
 pub fn init(path: &Path, max_events: u64) -> io::Result<()> {
-    let file = File::create(path)?;
-    let mut slot = JOURNAL.lock().expect("journal poisoned");
-    *slot = Some(JournalState { file, path: path.to_path_buf(), seq: 0, max_events, dropped: 0 });
-    ACTIVE.store(true, Ordering::Relaxed);
-    Ok(())
+    GLOBAL.open(path, max_events)
 }
 
-/// Closes the journal, appending a `journal_truncated` summary line if
-/// the bound dropped events. Returns `None` when no journal was open.
+/// Closes the process journal (see [`Journal::close`]).
 pub fn close() -> Option<JournalStats> {
-    let mut slot = JOURNAL.lock().expect("journal poisoned");
-    ACTIVE.store(false, Ordering::Relaxed);
-    let mut state = slot.take()?;
-    if state.dropped > 0 {
-        let mut line = String::new();
-        begin_line(&mut line, state.seq, "journal_truncated");
-        line.push_str(",\"dropped\":");
-        line.push_str(&state.dropped.to_string());
-        line.push_str("}\n");
-        let _ = state.file.write_all(line.as_bytes());
-    }
-    let _ = state.file.flush();
-    Some(JournalStats { events_written: state.seq, dropped: state.dropped, path: state.path })
+    GLOBAL.close()
 }
 
-/// True when a journal is open (one relaxed load). Instrumentation
-/// points with non-trivial field formatting check this first.
+/// True when the process journal is open (one relaxed load).
+/// Instrumentation points with non-trivial field formatting check this
+/// first.
 #[must_use]
 pub fn journal_active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
+    GLOBAL.active()
 }
 
 fn begin_line(out: &mut String, seq: u64, kind: &str) {
@@ -135,38 +222,9 @@ fn begin_line(out: &mut String, seq: u64, kind: &str) {
     json::write_str(out, kind);
 }
 
-/// Records one event. A no-op (one relaxed load) when no journal is
-/// open. The line is built outside the lock; seq allocation and the
-/// single `write` happen under it, so lines are never interleaved and
-/// file order equals seq order.
+/// Records one event in the process journal (see [`Journal::event`]).
 pub fn event(kind: &str, fields: &[(&str, Field<'_>)]) {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return;
-    }
-    // Build everything but the seq prefix outside the lock.
-    let mut tail = String::with_capacity(64);
-    for (name, value) in fields {
-        tail.push(',');
-        json::write_str(&mut tail, name);
-        tail.push(':');
-        value.write(&mut tail);
-    }
-    tail.push_str("}\n");
-
-    let mut slot = JOURNAL.lock().expect("journal poisoned");
-    let Some(state) = slot.as_mut() else { return };
-    if state.seq >= state.max_events {
-        state.dropped += 1;
-        return;
-    }
-    let mut line = String::with_capacity(48 + tail.len());
-    begin_line(&mut line, state.seq, kind);
-    line.push_str(&tail);
-    if state.file.write_all(line.as_bytes()).is_ok() {
-        state.seq += 1;
-    } else {
-        state.dropped += 1;
-    }
+    GLOBAL.event(kind, fields);
 }
 
 /// Sets the `--quiet` flag: progress lines stop mirroring to stderr
@@ -224,12 +282,15 @@ mod tests {
 
     #[test]
     fn events_are_valid_json_in_seq_order_and_bounded() {
+        // A journal of its own: events other tests send to the process
+        // journal meanwhile cannot land here.
+        let journal = Journal::new();
         let path = tmp("order");
-        init(&path, 5).expect("init journal");
+        journal.open(&path, 5).expect("open journal");
         for i in 0..8u64 {
-            event("unit", &[("i", Field::U64(i)), ("label", Field::Str("a\"b"))]);
+            journal.event("unit", &[("i", Field::U64(i)), ("label", Field::Str("a\"b"))]);
         }
-        let stats = close().expect("journal was open");
+        let stats = journal.close().expect("journal was open");
         assert_eq!(stats.events_written, 5);
         assert_eq!(stats.dropped, 3);
 
@@ -251,8 +312,9 @@ mod tests {
 
     #[test]
     fn event_without_journal_is_a_noop() {
-        // No init() in this test; if another test's journal is open the
-        // event is harmless there too.
-        event("ignored", &[("x", Field::Bool(true))]);
+        let journal = Journal::new();
+        journal.event("ignored", &[("x", Field::Bool(true))]);
+        assert!(!journal.active());
+        assert!(journal.close().is_none(), "a never-opened journal has nothing to close");
     }
 }

@@ -2,8 +2,9 @@
 //! artifacts (journal lines, Chrome trace events, `obs_report.json`)
 //! to be produced *and verified* without external crates: the journal
 //! test parses every line it wrote, the Chrome trace export round-trips
-//! through [`parse`], and the CI smoke validates the report's schema
-//! version with the same parser that real consumers would use.
+//! through [`parse`], and the harness's session test validates the
+//! report's schema version with the same parser that real consumers
+//! would use.
 //!
 //! Scope: UTF-8 text, `\uXXXX` escapes decoded (surrogate pairs
 //! included), numbers as `f64`. Not a general-purpose parser — no

@@ -19,7 +19,7 @@
 //!
 //! [`report`] ties a run together: a schema-versioned `obs_report.json`
 //! with counter deltas, phase totals, and tool-specific fields, written
-//! next to the BENCH_*.json trajectories and validated on write.
+//! under the run's report directory and validated on write.
 //!
 //! The crate is deliberately dependency-free (std only): it sits at the
 //! bottom of the workspace and must never pull the stack sideways. The
@@ -40,7 +40,7 @@ pub mod tail;
 pub use fault::{arm as arm_faults, armed as faults_armed, disarm as disarm_faults, FaultAction};
 pub use journal::{
     close as journal_close, event, init as journal_init, journal_active, progress_line,
-    progress_needed, quiet, set_quiet, Field, JournalStats,
+    progress_needed, quiet, set_quiet, Field, Journal, JournalStats,
 };
 pub use registry::{counter, snapshot, Counter, CounterSnapshot};
 pub use report::{validate as validate_report, ObsReport, OBS_SCHEMA_VERSION};

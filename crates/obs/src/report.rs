@@ -1,12 +1,12 @@
 //! Machine-readable run reports (`obs_report.json`).
 //!
-//! One schema-versioned JSON document per tool run, written next to the
-//! BENCH_*.json trajectories: counter deltas for the run, per-phase
+//! One schema-versioned JSON document per tool run, written under the
+//! run's report directory: counter deltas for the run, per-phase
 //! span totals, and any tool-specific fields (checkpoint store size,
 //! sweep shape…). [`validate`] re-parses a report and checks its schema
-//! version — the CI smoke runs it, and [`ObsReport::write`] runs it on
-//! the bytes it just wrote so a malformed report fails the producing
-//! run, not a consumer three steps later.
+//! version; [`ObsReport::write`] runs it on the bytes it just wrote so a
+//! malformed report fails the producing run, not a consumer three steps
+//! later.
 
 use std::io::{self, Write as _};
 use std::path::Path;
@@ -29,7 +29,7 @@ pub struct ObsReport {
 }
 
 impl ObsReport {
-    /// Starts a report for `tool` (e.g. `"bench_shard"`).
+    /// Starts a report for `tool` (e.g. `"fig6_speedup"`).
     #[must_use]
     pub fn new(tool: &str) -> ObsReport {
         ObsReport { tool: tool.to_owned(), counters: None, phases: None, extra: Vec::new() }

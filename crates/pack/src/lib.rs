@@ -601,6 +601,55 @@ mod tests {
         round_trip(&noise, &[]);
     }
 
+    /// Section-sized payloads shaped like what the checkpoint and trace
+    /// writers hand the codec — bitmap runs, sorted tag arrays with
+    /// region jumps, code-like repeats with drifting operands, and
+    /// noise — each stay under the footprint bar of the codec picked
+    /// for it.
+    #[test]
+    fn section_shaped_payloads_meet_their_footprint_bars() {
+        const LEN: usize = 256 * 1024;
+        let bitmap: Vec<u8> = (0..LEN).map(|i| if (i / 517) % 3 == 0 { 0xFF } else { 0 }).collect();
+        let mut addr = 0x8000_0000u64;
+        let tags: Vec<u8> = (0..LEN / 8)
+            .flat_map(|i| {
+                addr += if i % 97 == 0 { 0x1_0000 } else { 64 };
+                addr.to_le_bytes()
+            })
+            .collect();
+        let mut code = Vec::with_capacity(LEN);
+        for i in 0u64.. {
+            if code.len() >= LEN {
+                break;
+            }
+            code.extend_from_slice(&[0x48, 0x8B, 0x05, (i % 7) as u8, 0x00, 0x00, 0x00, 0xC3]);
+            code.extend_from_slice(&(0x40_0000 + (i / 3) * 16).to_le_bytes());
+        }
+        code.truncate(LEN);
+        let mut x = 0x0123_4567_89ab_cdefu64;
+        let noise: Vec<u8> = (0..LEN)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x & 0xFF) as u8
+            })
+            .collect();
+
+        for (what, payload, bar) in
+            [("bitmap", &bitmap, 0.10), ("tags", &tags, 0.40), ("code", &code, 0.60)]
+        {
+            let mut comp = Vec::new();
+            let codec = compress_auto(payload, &[], &mut comp);
+            let ratio = comp.len() as f64 / payload.len() as f64;
+            assert!(ratio < bar, "{what}: {ratio:.3}x via {} is not under {bar}x", codec.name());
+        }
+        let mut comp = Vec::new();
+        compress_auto(&noise, &[], &mut comp);
+        let ratio = comp.len() as f64 / noise.len() as f64;
+        assert!(ratio <= 1.01, "noise grew to {ratio:.3}x: the raw fallback must never grow");
+    }
+
     #[test]
     fn empty_input_round_trips_everywhere() {
         assert_eq!(round_trip(&[], &[]), Codec::Raw);

@@ -1,22 +1,29 @@
 //! Parallel policy sweeps — the engine behind Figure 6, Table 3 and the
 //! sensitivity studies.
 //!
-//! Three engines produce the same [`SweepResult`], bit-identically:
+//! These engines produce the same [`SweepResult`], bit-identically:
 //!
-//! * [`policy_sweep`] regenerates the instruction trace with the CFG
-//!   walker for every `(workload, policy)` job — no disk, but the
-//!   generation cost is paid `policies.len()` times per workload;
-//! * [`replay_sweep`] captures each workload's trace to a
-//!   [`TraceStore`] once, then fans each capture out **decode-once**:
-//!   a [`trrip_trace::FanoutReplay`] pipeline (parallel chunk-decode
-//!   workers + an ordered broadcaster) feeds shared
-//!   `Arc<[TraceInstr]>` batches to one simulator thread per policy,
-//!   so disk I/O + varint decode is paid once per *workload*, not once
-//!   per `(workload, policy)` job;
-//! * [`replay_sweep_isolated`] is the legacy decode-per-job engine
-//!   (each job opens its own [`trrip_trace::StreamingReplay`]), kept as
-//!   the baseline for the fan-out throughput bench and as an
-//!   independent oracle in equivalence tests.
+//! * [`policy_sweep`] / [`policy_sweep_with`] regenerate the
+//!   instruction trace with the CFG walker for every
+//!   `(workload, policy)` job — no disk, but the generation cost is
+//!   paid `policies.len()` times per workload;
+//! * [`replay_sweep`] / [`replay_sweep_with`] capture each workload's
+//!   trace to a [`TraceStore`] once, then fan each capture out
+//!   **decode-once**: a [`trrip_trace::FanoutReplay`] pipeline
+//!   (parallel chunk-decode workers + an ordered broadcaster) feeds
+//!   shared `Arc<[TraceInstr]>` batches to one simulator thread per
+//!   policy, so disk I/O + varint decode is paid once per *workload*,
+//!   not once per `(workload, policy)` job;
+//! * [`replay_sweep_warm_prefix`] is the fan-out engine over a
+//!   [`CheckpointStore`]: [`ensure_warm_prefixes`] records one shared
+//!   warmup per workload, and every cell warm-starts from it instead of
+//!   simulating its own fast-forward;
+//! * [`crate::replay_sweep_sharded`] (in [`crate::shard`]) cuts every
+//!   cell into checkpoint-chained segments scheduled as a DAG, and
+//!   [`crate::coordinate_worker`] runs the same DAG across processes;
+//! * [`replay_sweep_isolated`] is the decode-per-job oracle (each job
+//!   opens its own [`trrip_trace::StreamingReplay`]), kept only for the
+//!   decode-once equivalence tests.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -217,7 +224,7 @@ pub fn replay_sweep_with(
 }
 
 /// The shared fan-out scaffold behind [`replay_sweep_with`] and
-/// [`replay_sweep_checkpointed`]: captures each workload's trace, then
+/// [`replay_sweep_warm_prefix`]: captures each workload's trace, then
 /// per workload decodes once and broadcasts to one `run_cell` thread
 /// per policy. Each workload's fan-out runs `policies.len()` simulator
 /// threads, so when a sweep has fewer policies than worker slots (a
@@ -511,13 +518,26 @@ pub fn ensure_warm_prefixes(
     });
 }
 
-/// [`replay_sweep_checkpointed`] behind the shared-warmup pre-pass
-/// ([`ensure_warm_prefixes`]): the **policy-agnostic warm prefix**
-/// engine. On a cold store the populating pass costs one recorded
-/// warmup per workload plus per-policy warmup-tail replays (predictor
-/// and FDIP-scan work paid once, not `policies.len()` times); on a warm
-/// store every cell composes shared prefix + overlay and skips warmup
-/// simulation entirely. Bit-identical to every other engine either way.
+/// [`replay_sweep`] with **warm-started measurement** behind the
+/// shared-warmup pre-pass ([`ensure_warm_prefixes`]). The pre-pass
+/// records one warmup per workload whose shared prefix is missing;
+/// then each `(workload, policy)` cell warm-starts by the cheapest
+/// valid route — whole-state checkpoint, shared prefix + policy
+/// overlay, or shared prefix + warmup-tail replay, which persists the
+/// overlay for every later sweep (`warm_start_ladder` in this module
+/// documents the exact ladder). On a cold store the populating pass therefore pays
+/// predictor and FDIP-scan work once per workload, not `policies.len()`
+/// times; on a warm store — fig6/fig8/fig9 re-sweeping the same
+/// benchmarks across process runs — every cell composes prefix +
+/// overlay and skips warmup simulation entirely.
+///
+/// Results are bit-identical to [`replay_sweep`] and [`policy_sweep`]
+/// on every route: a checkpoint restores the exact post-fast-forward
+/// state and the tail replay re-simulates it exactly (enforced by
+/// `tests/checkpoint_roundtrip.rs` and
+/// `tests/warm_prefix_equivalence.rs`). Files that fail to load (stale
+/// key, corrupt) fall back one rung and are overwritten; files that
+/// fail to *save* only cost the warm start next time.
 ///
 /// # Panics
 ///
@@ -532,40 +552,6 @@ pub fn replay_sweep_warm_prefix(
     checkpoints: &CheckpointStore,
 ) -> SweepResult {
     ensure_warm_prefixes(jobs, workloads, config, store, checkpoints);
-    replay_sweep_checkpointed(jobs, workloads, config, policies, store, checkpoints)
-}
-
-/// [`replay_sweep`] with **warm-started measurement**: each
-/// `(workload, policy)` cell warm-starts by the cheapest valid route —
-/// whole-state checkpoint, shared prefix + policy overlay, shared
-/// prefix + warmup-tail replay, or a cold *recorded* warmup that
-/// persists the prefix and overlay for every later sweep (see
-/// [`warm_start_cell`] for the exact ladder). The common case —
-/// fig6/fig8/fig9 re-sweeping the same benchmarks — starts warm across
-/// process runs; a cold store populated through
-/// [`replay_sweep_warm_prefix`] additionally shares one warmup across
-/// all policies.
-///
-/// Results are bit-identical to [`replay_sweep`] and [`policy_sweep`]
-/// on every route: a checkpoint restores the exact post-fast-forward
-/// state and the tail replay re-simulates it exactly (enforced by
-/// `tests/checkpoint_roundtrip.rs` and
-/// `tests/warm_prefix_equivalence.rs`). Files that fail to load (stale
-/// key, corrupt) fall back one rung and are overwritten; files that
-/// fail to *save* only cost the warm start next time.
-///
-/// # Panics
-///
-/// As [`replay_sweep`].
-#[must_use]
-pub fn replay_sweep_checkpointed(
-    jobs: usize,
-    workloads: &[PreparedWorkload],
-    config: &SimConfig,
-    policies: &[PolicyKind],
-    store: &TraceStore,
-    checkpoints: &CheckpointStore,
-) -> SweepResult {
     fanout_sweep(jobs, workloads, config, policies, store, |workload, run_config, subscriber| {
         let (mut run, mut stream) =
             warm_start_ladder(workload, run_config, Some(checkpoints), |pos| {
@@ -580,12 +566,13 @@ pub fn replay_sweep_checkpointed(
     })
 }
 
-/// The legacy decode-per-job replay engine: shards `(workload, policy)`
-/// jobs across workers, each opening its own
+/// The decode-per-job replay engine: shards `(workload, policy)` jobs
+/// across workers, each opening its own
 /// [`trrip_trace::StreamingReplay`] — the trace is re-read and
-/// re-decoded once per job. Kept as the measured baseline for the
-/// fan-out bench and as an independent oracle in equivalence tests;
-/// sweeps should use [`replay_sweep`].
+/// re-decoded once per job. It stays only as the independent oracle
+/// that `tests/decode_once.rs` and the `capture` module's unit test
+/// hold the decode-once fan-out engine to; sweeps should use
+/// [`replay_sweep`].
 ///
 /// # Panics
 ///

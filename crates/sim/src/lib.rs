@@ -24,9 +24,9 @@
 //!   per-policy **overlays**, so a populating sweep records one warmup
 //!   per workload and fans it out across every policy.
 //! * [`experiment`] — parallel policy sweeps (walker-driven,
-//!   decode-once fan-out replay, the warm-started checkpointed engine,
-//!   the shared-warmup [`replay_sweep_warm_prefix`] engine, and the
-//!   legacy decode-per-job replay) and speedup computation.
+//!   decode-once fan-out replay, the warm-started
+//!   [`replay_sweep_warm_prefix`] engine over a checkpoint store, and
+//!   the decode-per-job replay oracle) and speedup computation.
 //! * [`warmstats`] — process-wide counters of how cells reached their
 //!   warmed state (full restore / overlay compose / warmup-tail replay
 //!   / recorded or cold warmup), the observable behind fallback tests.
@@ -66,10 +66,10 @@ pub use coordinate::{
     collect_results, coordinate_worker, scan_claims, CoordError, WorkerOptions, WorkerReport,
 };
 pub use experiment::{
-    default_jobs, parallel_map, parallel_map_with, policy_sweep, policy_sweep_with, replay_sweep,
-    replay_sweep_checkpointed, replay_sweep_isolated, replay_sweep_with, speedup_vs, SweepResult,
+    default_jobs, ensure_warm_prefixes, parallel_map, parallel_map_with, policy_sweep,
+    policy_sweep_with, replay_sweep, replay_sweep_isolated, replay_sweep_warm_prefix,
+    replay_sweep_with, speedup_vs, SweepResult,
 };
-pub use experiment::{ensure_warm_prefixes, replay_sweep_warm_prefix};
 pub use inflight::InflightTable;
 pub use prepare::PreparedWorkload;
 pub use shard::{replay_sweep_sharded, simulate_sharded, ShardPlan};

@@ -444,7 +444,7 @@ impl<'w> SimRun<'w> {
 
     /// Enables or disables the backend's deferred miss batch (see
     /// `SystemBackend::set_miss_batching`); on by default. Exposed for
-    /// equivalence oracles and ablation benchmarks.
+    /// equivalence oracles.
     pub fn set_miss_batching(&mut self, enabled: bool) {
         self.core.backend_mut().set_miss_batching(enabled);
     }
@@ -457,7 +457,7 @@ impl<'w> SimRun<'w> {
 
     /// Enables or disables the set-sorted batch drain (see
     /// `SystemBackend::set_sorted_replay`); on by default. Exposed for
-    /// equivalence oracles and ablation benchmarks.
+    /// equivalence oracles.
     pub fn set_sorted_replay(&mut self, enabled: bool) {
         self.core.backend_mut().set_sorted_replay(enabled);
     }

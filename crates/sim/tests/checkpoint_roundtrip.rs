@@ -615,7 +615,7 @@ fn checkpointed_sweep_matches_other_engines() {
 
     let walked = trrip_sim::policy_sweep(&workloads, &config, &policies);
     let cold =
-        trrip_sim::replay_sweep_checkpointed(4, &workloads, &config, &policies, &traces, &ckpts);
+        trrip_sim::replay_sweep_warm_prefix(4, &workloads, &config, &policies, &traces, &ckpts);
     for policy in policies {
         let cell_config = config.clone().with_policy(policy);
         assert!(
@@ -632,7 +632,7 @@ fn checkpointed_sweep_matches_other_engines() {
         "cold sweep must persist the shared prefix"
     );
     let warm =
-        trrip_sim::replay_sweep_checkpointed(4, &workloads, &config, &policies, &traces, &ckpts);
+        trrip_sim::replay_sweep_warm_prefix(4, &workloads, &config, &policies, &traces, &ckpts);
 
     for ((a, b), c) in walked.results.iter().zip(&cold.results).zip(&warm.results) {
         assert_identical(a, b, "cold checkpointed sweep");
