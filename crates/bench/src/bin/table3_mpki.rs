@@ -3,7 +3,7 @@
 
 use trrip_analysis::report::geomean_pct;
 use trrip_analysis::TextTable;
-use trrip_bench::HarnessOptions;
+use trrip_bench::{emit, HarnessOptions};
 use trrip_policies::PolicyKind;
 
 fn main() {
@@ -16,11 +16,6 @@ fn main() {
     let sweep = options.sweep(&workloads, &config, &PolicyKind::PAPER_SET);
 
     let mut report = String::new();
-    let emit = |s: &str, report: &mut String| {
-        println!("{s}");
-        report.push_str(s);
-        report.push('\n');
-    };
 
     // Raw SRRIP MPKI block.
     let mut raw = TextTable::new(vec!["L2 MPKI", "inst.", "data", "inst/data"]);
@@ -34,8 +29,8 @@ fn main() {
             format!("{:.2}", if d > 0.0 { i / d } else { 0.0 }),
         ]);
     }
-    emit("Table 3 (top): raw L2 MPKI under SRRIP", &mut report);
-    emit(&raw.to_string(), &mut report);
+    emit(&mut report, "Table 3 (top): raw L2 MPKI under SRRIP");
+    emit(&mut report, &raw.to_string());
 
     // Reduction block per mechanism.
     let mechanisms: Vec<PolicyKind> =
@@ -64,12 +59,12 @@ fn main() {
         table.row(inst_row);
         table.row(data_row);
     }
-    emit("Table 3 (bottom): L2 MPKI reduction (%) vs SRRIP — negative = increase", &mut report);
-    emit(&table.to_string(), &mut report);
+    emit(&mut report, "Table 3 (bottom): L2 MPKI reduction (%) vs SRRIP — negative = increase");
+    emit(&mut report, &table.to_string());
     emit(
+        &mut report,
         "paper geomeans (inst): LRU +1.8, BRRIP -94.5, DRRIP -11.5, SHiP -10.8, \
          CLIP +13.6, EMISSARY +22.1, TRRIP-1 +26.5, TRRIP-2 +27.3",
-        &mut report,
     );
     options.write_report("table3_mpki.txt", &report);
     obs.finish(&[]);

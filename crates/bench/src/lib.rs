@@ -8,13 +8,12 @@
 #![warn(missing_docs)]
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    ensure_warm_prefixes, policy_sweep_with, replay_sweep_sharded, replay_sweep_warm_prefix,
-    replay_sweep_with, CheckpointStore, PreparedWorkload, SimConfig, SweepResult, TraceStore,
+    run_sweep, CheckpointStore, PreparedWorkload, SimConfig, Sweep, SweepResult, TraceStore,
 };
 use trrip_workloads::WorkloadSpec;
 
@@ -56,6 +55,15 @@ options:
   --quiet          suppress [trrip] progress lines on stderr (reports
                    and telemetry artifacts are still written)
   --help           print this message and exit";
+
+/// Parses `flag`'s value as an integer of at least 1.
+fn positive<T: std::str::FromStr + PartialEq + From<u8>>(flag: &str, v: &str) -> Result<T, String> {
+    match v.parse() {
+        Ok(n) if n != T::from(0) => Ok(n),
+        Ok(_) => Err(format!("{flag} must be at least 1")),
+        Err(_) => Err(format!("{flag} must be a positive integer, got `{v}`")),
+    }
+}
 
 /// Cap on journal events per run; past it the journal records only the
 /// dropped count (reported on close), so a runaway sweep cannot fill
@@ -207,15 +215,7 @@ impl HarnessOptions {
                 |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
             match arg.as_str() {
                 "--help" | "-h" => return Ok(None),
-                "--scale" => {
-                    let v = value_of("--scale")?;
-                    options.scale = v
-                        .parse()
-                        .map_err(|_| format!("--scale must be a positive integer, got `{v}`"))?;
-                    if options.scale == 0 {
-                        return Err("--scale must be at least 1".to_owned());
-                    }
-                }
+                "--scale" => options.scale = positive("--scale", &value_of("--scale")?)?,
                 "--bench" => {
                     options.benchmarks =
                         value_of("--bench")?.split(',').map(str::to_owned).collect();
@@ -225,33 +225,11 @@ impl HarnessOptions {
                 "--checkpoint-dir" => {
                     options.checkpoint_dir = Some(PathBuf::from(value_of("--checkpoint-dir")?));
                 }
-                "--jobs" => {
-                    let v = value_of("--jobs")?;
-                    options.jobs = v
-                        .parse()
-                        .map_err(|_| format!("--jobs must be a positive integer, got `{v}`"))?;
-                    if options.jobs == 0 {
-                        return Err("--jobs must be at least 1".to_owned());
-                    }
-                }
-                "--shards" => {
-                    let v = value_of("--shards")?;
-                    options.shards = v
-                        .parse()
-                        .map_err(|_| format!("--shards must be a positive integer, got `{v}`"))?;
-                    if options.shards == 0 {
-                        return Err("--shards must be at least 1".to_owned());
-                    }
-                }
+                "--jobs" => options.jobs = positive("--jobs", &value_of("--jobs")?)?,
+                "--shards" => options.shards = positive("--shards", &value_of("--shards")?)?,
                 "--ckpt-budget-bytes" => {
                     let v = value_of("--ckpt-budget-bytes")?;
-                    let budget = v.parse().map_err(|_| {
-                        format!("--ckpt-budget-bytes must be a positive integer, got `{v}`")
-                    })?;
-                    if budget == 0 {
-                        return Err("--ckpt-budget-bytes must be at least 1".to_owned());
-                    }
-                    options.ckpt_budget_bytes = Some(budget);
+                    options.ckpt_budget_bytes = Some(positive("--ckpt-budget-bytes", &v)?);
                 }
                 "--metrics" => options.metrics = true,
                 "--obs-dir" => options.obs_dir = Some(PathBuf::from(value_of("--obs-dir")?)),
@@ -265,40 +243,44 @@ impl HarnessOptions {
                 }
             }
         }
-        if options.checkpoint_dir.is_some() && options.trace_dir.is_none() {
-            return Err("--checkpoint-dir requires --trace-dir (warm starts restore into the \
-                 captured-trace replay engine)"
-                .to_owned());
-        }
-        if options.shards > 1 && options.checkpoint_dir.is_none() {
-            return Err("--shards above 1 requires --checkpoint-dir (segments chain through \
-                 persisted checkpoints) and therefore --trace-dir"
-                .to_owned());
-        }
-        if options.ckpt_budget_bytes.is_some() && options.checkpoint_dir.is_none() {
-            return Err("--ckpt-budget-bytes requires --checkpoint-dir (the budget bounds the \
-                 persisted checkpoint store) and therefore --trace-dir"
-                .to_owned());
-        }
-        if options.obs_dir.is_some() && !options.metrics {
-            return Err("--obs-dir requires --metrics (the journal and Chrome trace are part \
-                 of the telemetry layer the flag enables)"
-                .to_owned());
+        let no_ckpt = options.checkpoint_dir.is_none();
+        for (invalid, message) in [
+            (
+                options.trace_dir.is_none() && !no_ckpt,
+                "--checkpoint-dir requires --trace-dir (warm starts restore into the \
+                 captured-trace replay)",
+            ),
+            (
+                options.shards > 1 && no_ckpt,
+                "--shards above 1 requires --checkpoint-dir (segments chain through \
+                 persisted checkpoints) and therefore --trace-dir",
+            ),
+            (
+                options.ckpt_budget_bytes.is_some() && no_ckpt,
+                "--ckpt-budget-bytes requires --checkpoint-dir (the budget bounds the \
+                 persisted checkpoint store) and therefore --trace-dir",
+            ),
+            (
+                options.obs_dir.is_some() && !options.metrics,
+                "--obs-dir requires --metrics (the journal and Chrome trace are part \
+                 of the telemetry layer the flag enables)",
+            ),
+        ] {
+            if invalid {
+                return Err(message.to_owned());
+            }
         }
         Ok(Some(options))
     }
 
-    /// Runs a policy sweep with the engine the command line selected:
-    /// sharded segment-DAG execution when `--shards N` (N > 1) is given
-    /// with `--checkpoint-dir`, warm-started checkpointed replay when
-    /// both `--trace-dir` and `--checkpoint-dir` are given, decode-once
-    /// fan-out replay from `--trace-dir` alone (capture-once/
-    /// replay-many, trace decoded once per workload), and in-memory
-    /// trace generation otherwise. Both checkpointed engines run the
-    /// shared-warmup pre-pass first, so a cold populating sweep pays one
-    /// recorded warmup per workload instead of one per policy. Results
-    /// are bit-identical across every combination; `--jobs` caps the
-    /// worker threads.
+    /// Runs a policy sweep through the one executor ([`run_sweep`]),
+    /// with whatever the command line attached: `--trace-dir` replays
+    /// captured traces decode-once instead of regenerating them per
+    /// run, `--checkpoint-dir` warm-starts every cell from the
+    /// checkpoint store (a cold store records one shared warmup per
+    /// workload), and `--shards N` cuts every run into a DAG of
+    /// checkpoint-chained segment tasks. Results are bit-identical
+    /// across every combination; `--jobs` caps the worker threads.
     #[must_use]
     pub fn sweep(
         &self,
@@ -306,9 +288,18 @@ impl HarnessOptions {
         config: &SimConfig,
         policies: &[PolicyKind],
     ) -> SweepResult {
-        let result = self.sweep_engine(workloads, config, policies);
-        if let (Some(budget), Some(dir)) = (self.ckpt_budget_bytes, &self.checkpoint_dir) {
-            let store = CheckpointStore::new(dir);
+        let traces = self.trace_dir.as_ref().map(TraceStore::new);
+        let checkpoints = self.checkpoint_dir.as_ref().map(CheckpointStore::new);
+        let walker = Sweep::new(workloads, config, policies).shards(self.shards);
+        let sweep = match &traces {
+            Some(traces) => walker.replay(traces, checkpoints.as_ref()),
+            None => {
+                assert!(checkpoints.is_none(), "--checkpoint-dir requires --trace-dir");
+                walker
+            }
+        };
+        let result = run_sweep(self.jobs, &sweep);
+        if let (Some(budget), Some(store)) = (self.ckpt_budget_bytes, &checkpoints) {
             match store.gc_budget(budget) {
                 Ok(report) if report.removed_files > 0 => trrip_obs::progress!(
                     "checkpoint budget: evicted {} file(s), {} B freed, store now {} B",
@@ -321,42 +312,6 @@ impl HarnessOptions {
             }
         }
         result
-    }
-
-    fn sweep_engine(
-        &self,
-        workloads: &[PreparedWorkload],
-        config: &SimConfig,
-        policies: &[PolicyKind],
-    ) -> SweepResult {
-        match (&self.trace_dir, &self.checkpoint_dir) {
-            (Some(traces), Some(checkpoints)) if self.shards > 1 => {
-                let traces = TraceStore::new(traces);
-                let checkpoints = CheckpointStore::new(checkpoints);
-                ensure_warm_prefixes(self.jobs, workloads, config, &traces, &checkpoints);
-                replay_sweep_sharded(
-                    self.jobs,
-                    workloads,
-                    config,
-                    policies,
-                    &traces,
-                    &checkpoints,
-                    self.shards,
-                )
-            }
-            (Some(traces), Some(checkpoints)) => replay_sweep_warm_prefix(
-                self.jobs,
-                workloads,
-                config,
-                policies,
-                &TraceStore::new(traces),
-                &CheckpointStore::new(checkpoints),
-            ),
-            (Some(traces), None) => {
-                replay_sweep_with(self.jobs, workloads, config, policies, &TraceStore::new(traces))
-            }
-            (None, _) => policy_sweep_with(self.jobs, workloads, config, policies),
-        }
     }
 
     /// Prepares workloads (training run + classification) under the
@@ -498,31 +453,11 @@ impl ObsSession {
     }
 }
 
-/// Prepares workloads (training run + classification) for a config with
-/// one worker per hardware thread. Binaries with a parsed
-/// [`HarnessOptions`] should prefer [`HarnessOptions::prepare`], which
-/// honors `--jobs`.
-#[must_use]
-pub fn prepare_all(
-    specs: &[WorkloadSpec],
-    config: &SimConfig,
-    classifier: ClassifierConfig,
-) -> Vec<PreparedWorkload> {
-    trrip_sim::parallel_map(specs.len(), |i| {
-        PreparedWorkload::prepare(&specs[i], config.train_instructions, classifier)
-    })
-}
-
 /// Appends a section to EXPERIMENTS-style output and stdout at once.
 pub fn emit(report: &mut String, line: &str) {
     println!("{line}");
     report.push_str(line);
     report.push('\n');
-}
-
-/// Ensures a directory exists (no-op shortcut for binaries).
-pub fn ensure_dir(path: &Path) {
-    let _ = fs::create_dir_all(path);
 }
 
 #[cfg(test)]

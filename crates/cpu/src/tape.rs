@@ -111,7 +111,7 @@ impl WarmupTape {
     ///
     /// Panics if the count does not fit the 2-bit entry — the core's
     /// `fdip_max_lines` would have to exceed 3, which the paper machine
-    /// never does; widen [`FDIP_BITS`] if a config ever needs it.
+    /// never does; widen `FDIP_BITS` if a config ever needs it.
     pub fn push_fdip(&mut self, trigger_pc: u64, pcs: &[u64]) {
         let count = pcs.len();
         assert!(count < (1 << FDIP_BITS), "FDIP count {count} exceeds the tape's 2-bit entry");

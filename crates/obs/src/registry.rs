@@ -15,7 +15,7 @@ use std::sync::Mutex;
 
 /// The process-wide name → counter table. Registration is rare (once
 /// per counter name per process, cached in a `OnceLock` by the
-/// [`counter!`](crate::counter) macro), so a linear scan under a mutex
+/// [`counter!`](crate::counter!) macro), so a linear scan under a mutex
 /// is plenty; increments never touch this lock.
 static REGISTRY: Mutex<Vec<(&'static str, &'static AtomicU64)>> = Mutex::new(Vec::new());
 
@@ -44,7 +44,7 @@ impl Counter {
 
 /// Finds or registers the counter named `name`. Idempotent: every call
 /// with the same name returns a handle to the same atomic. Prefer the
-/// [`counter!`](crate::counter) macro at call sites — it caches the
+/// [`counter!`](crate::counter!) macro at call sites — it caches the
 /// handle in a `OnceLock` so the registry lock is taken once, not per
 /// call.
 #[must_use]

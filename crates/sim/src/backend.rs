@@ -94,7 +94,7 @@ enum InflightAction {
 /// [`Hierarchy::access_l1`] for the ~75% of L1 hits, but the follow-on
 /// work of a bail — the FDIP/next-line prefetch train, stride-prefetch
 /// fills, and in-flight retirements — is not executed synchronously: it
-/// is packaged as [`DeferredOp`]s and queued, while everything the
+/// is packaged as `DeferredOp`s and queued, while everything the
 /// current instruction needs *now* (the demand's access outcome,
 /// profiler observations, Top-Down inputs, prefetch timeliness) is
 /// computed eagerly at the same program point the synchronous path

@@ -10,9 +10,7 @@
 use std::path::{Path, PathBuf};
 
 use trrip_compiler::LayoutKind;
-use trrip_trace::{
-    probe, FanoutReplay, FanoutSubscriber, StreamingReplay, TraceError, TraceLayout, TraceMeta,
-};
+use trrip_trace::{probe, StreamingReplay, TraceError, TraceLayout, TraceMeta};
 use trrip_workloads::{InputSet, TraceGenerator};
 
 use crate::config::SimConfig;
@@ -197,28 +195,6 @@ impl TraceStore {
         config: &SimConfig,
     ) -> Result<StreamingReplay, TraceError> {
         StreamingReplay::open(&self.ensure(workload, config)?)
-    }
-
-    /// Opens a decode-once fan-out of the capture for
-    /// `(workload, config)` — one subscriber per consumer, all fed from
-    /// a single decoded stream — capturing the trace first if needed.
-    /// This is how a policy sweep replays one workload under many
-    /// policies without re-decoding per policy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates capture and open failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `consumers` is zero.
-    pub fn open_fanout(
-        &self,
-        workload: &PreparedWorkload,
-        config: &SimConfig,
-        consumers: usize,
-    ) -> Result<Vec<FanoutSubscriber>, TraceError> {
-        FanoutReplay::open(&self.ensure(workload, config)?, consumers)
     }
 }
 

@@ -11,14 +11,14 @@
 //!         stream_position:u64 mid_measure:bool
 //! ```
 //!
-//! Fixed-width fields are little-endian; the body is a `trrip-snap`
-//! stream whose trailing `payload` field holds the snapshot. The
-//! checksum (the same word-folded hash `trrip-trace` uses for chunk
-//! payloads) covers every body byte, and `body_len` makes truncation
-//! detectable before the checksum is even consulted. Writes go to a
-//! sibling temp file and are renamed into place, so concurrent sweep
-//! processes sharing a checkpoint directory never observe a
-//! half-written file — the same discipline as trace capture.
+//! The framing is the shared `Container` (result fragments use it
+//! too): fixed-width fields are little-endian, the checksum covers every
+//! body byte (and, from v5, the version field), `body_len` makes
+//! truncation detectable before the checksum is even consulted, and
+//! writes go to a sibling temp file renamed into place, so concurrent
+//! sweep processes sharing a checkpoint directory never observe a
+//! half-written file. The body is a `trrip-snap` stream whose trailing
+//! `payload` field holds the snapshot.
 //!
 //! # Container v3: the split warm prefix
 //!
@@ -61,12 +61,13 @@
 //!   use the policy-free variant ([`warmup_prefix_hash`]) so every
 //!   policy's cell resolves the same prefix.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use trrip_compiler::LayoutKind;
 use trrip_cpu::WarmupTape;
 use trrip_os::OverlapPolicy;
+use trrip_policies::PolicyKind;
 use trrip_snap::{Checksum, SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::capture::{trace_layout, workload_fingerprint};
@@ -76,7 +77,10 @@ use crate::system::SimRun;
 
 /// Checkpoint file magic: `b"TRRIPCKP"`.
 pub const MAGIC: [u8; 8] = *b"TRRIPCKP";
-/// Current checkpoint format version. v4 compresses the snapshot
+/// Current checkpoint format version. v5 is v4's layout with the
+/// version field folded into the container checksum, so a damaged
+/// version can no longer hand a v4+ body to the v1–v3 decoders. v4
+/// compresses the snapshot
 /// payload as a [`trrip_pack::pack_stream`] — per 64 KiB block the best
 /// of RLE / delta-pack / LZ / raw, each block tagged with its codec and
 /// the checksum of its *uncompressed* bytes, so the kind-aware choice
@@ -84,12 +88,12 @@ pub const MAGIC: [u8; 8] = *b"TRRIPCKP";
 /// for the rest) falls out of per-block selection. v3 containers carry
 /// a [`CheckpointKind`] tag so one store holds full states, shared
 /// prefixes, and policy overlays side by side. v2 introduced the bitmap
-/// cache-tag encoding and the segmented run-tally layout. v1–v3 files
+/// cache-tag encoding and the segmented run-tally layout. v1–v4 files
 /// remain readable: a pre-v4 payload is stored verbatim, a pre-v3 body
 /// restores as [`CheckpointKind::Full`], and the component encodings
 /// inside payloads are tag-dispatched (see `trrip_cache::Cache` and
 /// `trrip_cpu::RunState`).
-pub const VERSION: u16 = 4;
+pub const VERSION: u16 = 5;
 
 /// What a v3 container holds (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,7 +126,8 @@ impl CheckpointKind {
     }
 }
 
-/// Everything that can go wrong reading or writing a checkpoint.
+/// Everything that can go wrong reading or writing a checkpoint, or any
+/// other container in its framing (result fragments share it).
 #[derive(Debug)]
 pub enum CheckpointError {
     /// Underlying I/O failure (including truncation mid-body).
@@ -148,15 +153,13 @@ pub enum CheckpointError {
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CheckpointError::Io(e) => write!(f, "checkpoint i/o error: {e}"),
-            CheckpointError::BadMagic => f.write_str("not a trrip checkpoint (bad magic)"),
-            CheckpointError::UnsupportedVersion(v) => {
-                write!(f, "unsupported checkpoint version {v} (this reader speaks {VERSION})")
-            }
+            CheckpointError::Io(e) => write!(f, "i/o error: {e}"),
+            CheckpointError::BadMagic => f.write_str("bad magic"),
+            CheckpointError::UnsupportedVersion(v) => write!(f, "unsupported format version {v}"),
             CheckpointError::ChecksumMismatch { expected, found } => {
-                write!(f, "checkpoint checksum mismatch: file {expected:#018x}, body {found:#018x}")
+                write!(f, "checksum mismatch: file {expected:#018x}, body {found:#018x}")
             }
-            CheckpointError::Corrupt(what) => write!(f, "corrupt checkpoint: {what}"),
+            CheckpointError::Corrupt(what) => write!(f, "corrupt container: {what}"),
             CheckpointError::KeyMismatch(what) => write!(f, "checkpoint key mismatch: {what}"),
         }
     }
@@ -188,6 +191,106 @@ impl From<trrip_pack::PackError> for CheckpointError {
         CheckpointError::Corrupt(e.to_string())
     }
 }
+
+/// The checksummed on-disk container checkpoints and result fragments
+/// share: `magic:8 version:u16 body_len:u64 body checksum:u64`, fixed
+/// fields little-endian. The checksum (`trrip-trace`'s word-folded
+/// chunk hash) covers the body and, from `bound_from` on, the version
+/// field, so a damaged version cannot route a body to another version's
+/// decoder.
+pub(crate) struct Container {
+    /// The file magic.
+    pub(crate) magic: [u8; 8],
+    /// The version this build writes; reads accept every version up to
+    /// it.
+    pub(crate) version: u16,
+    /// The first version whose checksum covers the version field.
+    pub(crate) bound_from: u16,
+    /// The fault seam between flushing the temp file and renaming it
+    /// into place.
+    pub(crate) seam: &'static str,
+}
+
+impl Container {
+    fn checksum(&self, version: u16, body: &[u8]) -> u64 {
+        let mut checksum = Checksum::new();
+        if version >= self.bound_from {
+            checksum.update(&version.to_le_bytes());
+        }
+        checksum.update(body);
+        checksum.value()
+    }
+
+    /// Writes `body` as a container at `path`, atomically: into a
+    /// sibling temp file, through the fault seam, then renamed into
+    /// place — so concurrent processes sharing a directory never observe
+    /// a half-written file.
+    pub(crate) fn write(&self, path: &Path, body: &[u8]) -> std::io::Result<()> {
+        if let Some(parent) = path.parent() {
+            std::fs::create_dir_all(parent)?;
+        }
+        // Unique per process AND per call: shard workers in one process
+        // can write the same file concurrently (a producer's save racing
+        // a cold fallback's chain repair), and both must land atomically.
+        static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let tmp = path.with_extension(format!("tmp.{}.{seq}", std::process::id()));
+        {
+            let mut file = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
+            file.write_all(&self.magic)?;
+            file.write_all(&self.version.to_le_bytes())?;
+            file.write_all(&(body.len() as u64).to_le_bytes())?;
+            file.write_all(body)?;
+            file.write_all(&self.checksum(self.version, body).to_le_bytes())?;
+            file.flush()?;
+        }
+        // The torn-write seam: an armed fault tears/damages the flushed
+        // temp file (the rename then publishes a bad container, which
+        // reads must reject) or kills the process here (the rename never
+        // happens; only a temp is left).
+        trrip_obs::fault!(self.seam, &tmp);
+        std::fs::rename(&tmp, path)
+    }
+
+    /// Verifies a container's framing — magic, version, length and
+    /// checksum — and returns its version and body.
+    ///
+    /// # Errors
+    ///
+    /// `BadMagic`, `UnsupportedVersion`, `ChecksumMismatch`, or
+    /// `Corrupt` for a truncated header or a length that does not match
+    /// the bytes.
+    pub(crate) fn open<'b>(&self, bytes: &'b [u8]) -> Result<(u16, &'b [u8]), CheckpointError> {
+        let header = bytes.get(..18).ok_or_else(|| {
+            CheckpointError::Corrupt(format!("{} bytes cannot hold a header", bytes.len()))
+        })?;
+        if header[..8] != self.magic {
+            return Err(CheckpointError::BadMagic);
+        }
+        let version = u16::from_le_bytes([header[8], header[9]]);
+        if version > self.version {
+            return Err(CheckpointError::UnsupportedVersion(version));
+        }
+        let body_len = u64::from_le_bytes(header[10..18].try_into().expect("8 bytes"));
+        if usize::try_from(body_len).ok().and_then(|n| n.checked_add(26)) != Some(bytes.len()) {
+            return Err(CheckpointError::Corrupt(format!(
+                "body length {body_len} does not match the file ({} bytes)",
+                bytes.len()
+            )));
+        }
+        let (body, tail) = bytes[18..].split_at(bytes.len() - 26);
+        let expected = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
+        let found = self.checksum(version, body);
+        if found != expected {
+            return Err(CheckpointError::ChecksumMismatch { expected, found });
+        }
+        Ok((version, body))
+    }
+}
+
+/// The checkpoint container.
+const CHECKPOINT: Container =
+    Container { magic: MAGIC, version: VERSION, bound_from: 5, seam: "ckpt.save.partial" };
 
 /// Identity of a checkpoint: what was warmed, under which machine, and
 /// how far into the instruction stream the state reaches.
@@ -334,34 +437,7 @@ pub fn write_checkpoint_kind(
     // per-block codec selection gives bitmaps RLE, sorted tag arrays
     // delta, and everything else LZ (or raw when incompressible).
     body.bytes_field(&trrip_pack::pack_stream(payload, &[]));
-    let body = body.into_bytes();
-    let mut checksum = Checksum::new();
-    checksum.update(&body);
-
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    // Unique per process AND per call: shard workers in one process can
-    // write the same link concurrently (a producer's save racing a cold
-    // fallback's chain repair), and both must land atomically.
-    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let tmp = path.with_extension(format!("tmp.{}.{seq}", std::process::id()));
-    {
-        let mut file = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-        file.write_all(&MAGIC)?;
-        file.write_all(&VERSION.to_le_bytes())?;
-        file.write_all(&(body.len() as u64).to_le_bytes())?;
-        file.write_all(&body)?;
-        file.write_all(&checksum.value().to_le_bytes())?;
-        file.flush()?;
-    }
-    // The torn-write seam: with `ckpt.save.partial` armed, the fault
-    // harness tears/damages the flushed temp file (the rename then
-    // publishes a bad container, which loads must reject) or kills the
-    // process here (the rename never happens; only a temp is left).
-    trrip_obs::fault!("ckpt.save.partial", &tmp);
-    std::fs::rename(&tmp, path)?;
+    CHECKPOINT.write(path, &body.into_bytes())?;
     Ok(())
 }
 
@@ -415,46 +491,15 @@ fn retry_transient<T>(
 pub fn read_checkpoint(
     path: &Path,
 ) -> Result<(CheckpointKind, CheckpointMeta, Vec<u8>), CheckpointError> {
-    let mut file = std::io::BufReader::new(std::fs::File::open(path)?);
+    decode_checkpoint(&std::fs::read(path)?)
+}
 
-    let mut magic = [0u8; 8];
-    file.read_exact(&mut magic)?;
-    if magic != MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let mut version = [0u8; 2];
-    file.read_exact(&mut version)?;
-    let version = u16::from_le_bytes(version);
-    if version > VERSION {
-        return Err(CheckpointError::UnsupportedVersion(version));
-    }
-    let mut len = [0u8; 8];
-    file.read_exact(&mut len)?;
-    let body_len = usize::try_from(u64::from_le_bytes(len))
-        .map_err(|_| CheckpointError::Corrupt("body length overflows".into()))?;
-    // The length field precedes the checksummed region, so bound it by
-    // what the file actually holds before allocating: a corrupted
-    // length must surface as Corrupt, not as a giant allocation.
-    let mut rest = Vec::new();
-    file.read_to_end(&mut rest)?;
-    if body_len.checked_add(8) != Some(rest.len()) {
-        return Err(CheckpointError::Corrupt(format!(
-            "body length {body_len} does not match file ({} bytes after the header)",
-            rest.len()
-        )));
-    }
-    let expected = u64::from_le_bytes(rest[body_len..].try_into().expect("8 bytes"));
-    rest.truncate(body_len);
-    let body = rest;
-
-    let mut checksum = Checksum::new();
-    checksum.update(&body);
-    let found = checksum.value();
-    if found != expected {
-        return Err(CheckpointError::ChecksumMismatch { expected, found });
-    }
-
-    let mut r = SnapReader::new(&body);
+/// [`read_checkpoint`] over a container's bytes.
+fn decode_checkpoint(
+    bytes: &[u8],
+) -> Result<(CheckpointKind, CheckpointMeta, Vec<u8>), CheckpointError> {
+    let (version, body) = CHECKPOINT.open(bytes)?;
+    let mut r = SnapReader::new(body);
     let kind = if version >= 3 {
         let raw = r.u8()?;
         CheckpointKind::from_u8(raw)
@@ -475,8 +520,7 @@ pub fn read_checkpoint(
 
 /// Counts one store load outcome into the `ckpt.*` registry family:
 /// `Ok(Some)` is a hit, `Ok(None)` a miss (absent or differently-keyed
-/// file), `Err` a damaged container. Saves count through
-/// [`note_save`].
+/// file), `Err` a damaged container. Saves count as `ckpt.save`.
 fn count_load<T>(result: Result<Option<T>, CheckpointError>) -> Result<Option<T>, CheckpointError> {
     match &result {
         Ok(Some(_)) => trrip_obs::counter!("ckpt.hit").incr(),
@@ -486,8 +530,51 @@ fn count_load<T>(result: Result<Option<T>, CheckpointError>) -> Result<Option<T>
     result
 }
 
-fn note_save() {
+/// Reads the container at `path` if it holds a `kind` keyed exactly
+/// `expected`, and hands its payload to `decode`. `Ok(None)` for a
+/// missing or differently-keyed file; damaged files (including payloads
+/// `decode` rejects) are errors. Every outcome counts into `ckpt.*`.
+fn load_keyed<T>(
+    path: &Path,
+    kind: CheckpointKind,
+    expected: &CheckpointMeta,
+    decode: impl FnOnce(&[u8]) -> Result<T, CheckpointError>,
+) -> Result<Option<T>, CheckpointError> {
+    let loaded = match retry_transient(|| read_checkpoint(path)) {
+        Ok((k, meta, payload)) if k == kind && &meta == expected => decode(&payload).map(Some),
+        Ok(_) => Ok(None),
+        Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
+    };
+    count_load(loaded)
+}
+
+/// Writes a `kind` container keyed `meta` holding `save`'s snapshot to
+/// `path`, counting the save.
+fn save_keyed(
+    path: PathBuf,
+    kind: CheckpointKind,
+    meta: &CheckpointMeta,
+    save: impl FnOnce(&mut SnapWriter),
+) -> Result<PathBuf, CheckpointError> {
+    let mut payload = SnapWriter::new();
+    save(&mut payload);
+    write_checkpoint_kind(&path, kind, meta, payload.bytes())?;
     trrip_obs::counter!("ckpt.save").incr();
+    Ok(path)
+}
+
+/// Restores a whole-run payload into a freshly constructed [`SimRun`].
+fn restore_run<'w>(
+    workload: &'w PreparedWorkload,
+    config: &SimConfig,
+    payload: &[u8],
+) -> Result<SimRun<'w>, CheckpointError> {
+    let mut run = SimRun::new(workload, config);
+    let mut r = SnapReader::new(payload);
+    run.restore(&mut r)?;
+    r.finish()?;
+    Ok(run)
 }
 
 /// A directory of warmed-state checkpoints, keyed exactly like the
@@ -521,29 +608,60 @@ impl CheckpointStore {
     /// Where the fast-forward checkpoint for `(workload, config)` lives.
     #[must_use]
     pub fn path_for(&self, workload: &PreparedWorkload, config: &SimConfig) -> PathBuf {
+        self.file(
+            workload,
+            config,
+            Some(config.hierarchy.l2_policy),
+            "",
+            warmup_config_hash(config),
+        )
+    }
+
+    /// The store's file naming scheme:
+    /// `{benchmark}-{layout}-{policy}-ff{fast_forward}{tag}-{fingerprint}-{hash}.ckpt`,
+    /// with `shared` in the policy slot for policy-free files.
+    fn file(
+        &self,
+        workload: &PreparedWorkload,
+        config: &SimConfig,
+        policy: Option<PolicyKind>,
+        tag: &str,
+        hash: u64,
+    ) -> PathBuf {
+        let policy = policy.map_or_else(|| "shared".to_owned(), |p| p.name().to_ascii_lowercase());
         self.dir.join(format!(
-            "{}-{}-{}-ff{}-{:016x}-{:016x}.ckpt",
+            "{}-{}-{policy}-ff{}{tag}-{:016x}-{hash:016x}.ckpt",
             workload.spec.name,
             trace_layout(config.layout).tag(),
-            config.hierarchy.l2_policy.name().to_ascii_lowercase(),
             config.fast_forward,
             workload_fingerprint(workload, config),
-            warmup_config_hash(config),
         ))
+    }
+
+    /// The metadata of a container keyed to `(workload, config)`.
+    fn key(
+        workload: &PreparedWorkload,
+        config: &SimConfig,
+        policy: &str,
+        config_hash: u64,
+        measure_position: Option<u64>,
+    ) -> CheckpointMeta {
+        CheckpointMeta {
+            benchmark: workload.spec.name.clone(),
+            policy: policy.to_owned(),
+            fingerprint: workload_fingerprint(workload, config),
+            config_hash,
+            stream_position: config.fast_forward + measure_position.unwrap_or(0),
+            mid_measure: measure_position.is_some(),
+        }
     }
 
     /// The metadata a valid checkpoint for `(workload, config)` must
     /// carry.
     #[must_use]
     pub fn expected_meta(&self, workload: &PreparedWorkload, config: &SimConfig) -> CheckpointMeta {
-        CheckpointMeta {
-            benchmark: workload.spec.name.clone(),
-            policy: config.hierarchy.l2_policy.name().to_owned(),
-            fingerprint: workload_fingerprint(workload, config),
-            config_hash: warmup_config_hash(config),
-            stream_position: config.fast_forward,
-            mid_measure: false,
-        }
+        let policy = config.hierarchy.l2_policy.name();
+        Self::key(workload, config, policy, warmup_config_hash(config), None)
     }
 
     /// Whether a loadable checkpoint for `(workload, config)` exists.
@@ -576,12 +694,8 @@ impl CheckpointStore {
     pub fn save(&self, run: &SimRun<'_>) -> Result<PathBuf, CheckpointError> {
         assert!(!run.is_measuring(), "the checkpoint store holds fast-forward states only");
         let meta = self.expected_meta(run.workload(), run.config());
-        let mut payload = SnapWriter::new();
-        run.save(&mut payload);
         let path = self.path_for(run.workload(), run.config());
-        write_checkpoint(&path, &meta, payload.bytes())?;
-        note_save();
-        Ok(path)
+        save_keyed(path, CheckpointKind::Full, &meta, |w| run.save(w))
     }
 
     /// Where the chained **segment** checkpoint lives: the mid-measure
@@ -600,17 +714,15 @@ impl CheckpointStore {
         ordinal: usize,
         position: u64,
     ) -> PathBuf {
-        self.dir.join(format!(
-            "{}-{}-{}-ff{}-seg{ordinal}@{position}-m{}{}-{:016x}-{:016x}.ckpt",
-            workload.spec.name,
-            trace_layout(config.layout).tag(),
-            config.hierarchy.l2_policy.name().to_ascii_lowercase(),
-            config.fast_forward,
-            u8::from(config.measure_reuse),
-            u8::from(config.track_costly),
-            workload_fingerprint(workload, config),
+        let (reuse, costly) = (u8::from(config.measure_reuse), u8::from(config.track_costly));
+        let tag = format!("-seg{ordinal}@{position}-m{reuse}{costly}");
+        self.file(
+            workload,
+            config,
+            Some(config.hierarchy.l2_policy),
+            &tag,
             warmup_config_hash(config),
-        ))
+        )
     }
 
     /// The metadata a valid segment checkpoint must carry.
@@ -621,14 +733,8 @@ impl CheckpointStore {
         config: &SimConfig,
         position: u64,
     ) -> CheckpointMeta {
-        CheckpointMeta {
-            benchmark: workload.spec.name.clone(),
-            policy: config.hierarchy.l2_policy.name().to_owned(),
-            fingerprint: workload_fingerprint(workload, config),
-            config_hash: warmup_config_hash(config),
-            stream_position: config.fast_forward + position,
-            mid_measure: true,
-        }
+        let policy = config.hierarchy.l2_policy.name();
+        Self::key(workload, config, policy, warmup_config_hash(config), Some(position))
     }
 
     /// Whether a chained segment checkpoint *file* exists for this key
@@ -669,12 +775,8 @@ impl CheckpointStore {
             "segment checkpoint keyed at the wrong stream position"
         );
         let meta = self.expected_segment_meta(run.workload(), run.config(), position);
-        let mut payload = SnapWriter::new();
-        run.save(&mut payload);
         let path = self.segment_path(run.workload(), run.config(), ordinal, position);
-        write_checkpoint(&path, &meta, payload.bytes())?;
-        note_save();
-        Ok(path)
+        save_keyed(path, CheckpointKind::Full, &meta, |w| run.save(w))
     }
 
     /// Loads the chained segment checkpoint for `(workload, config,
@@ -694,34 +796,9 @@ impl CheckpointStore {
         ordinal: usize,
         position: u64,
     ) -> Result<Option<SimRun<'w>>, CheckpointError> {
-        count_load(self.load_segment_impl(workload, config, ordinal, position))
-    }
-
-    fn load_segment_impl<'w>(
-        &self,
-        workload: &'w PreparedWorkload,
-        config: &SimConfig,
-        ordinal: usize,
-        position: u64,
-    ) -> Result<Option<SimRun<'w>>, CheckpointError> {
         let path = self.segment_path(workload, config, ordinal, position);
-        let (kind, meta, payload) = match retry_transient(|| read_checkpoint(&path)) {
-            Ok(parts) => parts,
-            Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(None)
-            }
-            Err(e) => return Err(e),
-        };
-        if kind != CheckpointKind::Full
-            || meta != self.expected_segment_meta(workload, config, position)
-        {
-            return Ok(None);
-        }
-        let mut run = SimRun::new(workload, config);
-        let mut r = SnapReader::new(&payload);
-        run.restore(&mut r)?;
-        r.finish()?;
-        Ok(Some(run))
+        let expected = self.expected_segment_meta(workload, config, position);
+        load_keyed(&path, CheckpointKind::Full, &expected, |p| restore_run(workload, config, p))
     }
 
     /// Loads the checkpoint for `(workload, config)` into a freshly
@@ -740,31 +817,9 @@ impl CheckpointStore {
         workload: &'w PreparedWorkload,
         config: &SimConfig,
     ) -> Result<Option<SimRun<'w>>, CheckpointError> {
-        count_load(self.load_impl(workload, config))
-    }
-
-    fn load_impl<'w>(
-        &self,
-        workload: &'w PreparedWorkload,
-        config: &SimConfig,
-    ) -> Result<Option<SimRun<'w>>, CheckpointError> {
         let path = self.path_for(workload, config);
-        let (kind, meta, payload) = match retry_transient(|| read_checkpoint(&path)) {
-            Ok(parts) => parts,
-            Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(None)
-            }
-            Err(e) => return Err(e),
-        };
         let expected = self.expected_meta(workload, config);
-        if kind != CheckpointKind::Full || meta != expected {
-            return Ok(None);
-        }
-        let mut run = SimRun::new(workload, config);
-        let mut r = SnapReader::new(&payload);
-        run.restore(&mut r)?;
-        r.finish()?;
-        Ok(Some(run))
+        load_keyed(&path, CheckpointKind::Full, &expected, |p| restore_run(workload, config, p))
     }
 
     /// Where the **shared prefix** for `(workload, config)` lives — one
@@ -773,14 +828,7 @@ impl CheckpointStore {
     /// same prefix.
     #[must_use]
     pub fn prefix_path(&self, workload: &PreparedWorkload, config: &SimConfig) -> PathBuf {
-        self.dir.join(format!(
-            "{}-{}-shared-ff{}-{:016x}-{:016x}.ckpt",
-            workload.spec.name,
-            trace_layout(config.layout).tag(),
-            config.fast_forward,
-            workload_fingerprint(workload, config),
-            warmup_prefix_hash(config),
-        ))
+        self.file(workload, config, None, "", warmup_prefix_hash(config))
     }
 
     /// The metadata a valid shared prefix must carry. The policy field
@@ -791,14 +839,7 @@ impl CheckpointStore {
         workload: &PreparedWorkload,
         config: &SimConfig,
     ) -> CheckpointMeta {
-        CheckpointMeta {
-            benchmark: workload.spec.name.clone(),
-            policy: "*".to_owned(),
-            fingerprint: workload_fingerprint(workload, config),
-            config_hash: warmup_prefix_hash(config),
-            stream_position: config.fast_forward,
-            mid_measure: false,
-        }
+        Self::key(workload, config, "*", warmup_prefix_hash(config), None)
     }
 
     /// Saves the policy-agnostic warm prefix: `run`'s shared section
@@ -826,13 +867,11 @@ impl CheckpointStore {
             "tape does not cover the fast-forward window"
         );
         let meta = self.expected_prefix_meta(run.workload(), run.config());
-        let mut payload = SnapWriter::new();
-        run.save_shared(&mut payload);
-        tape.save(&mut payload);
         let path = self.prefix_path(run.workload(), run.config());
-        write_checkpoint_kind(&path, CheckpointKind::SharedPrefix, &meta, payload.bytes())?;
-        note_save();
-        Ok(path)
+        save_keyed(path, CheckpointKind::SharedPrefix, &meta, |w| {
+            run.save_shared(w);
+            tape.save(w);
+        })
     }
 
     /// Loads the shared prefix for `(workload, config)`, if a valid one
@@ -848,50 +887,26 @@ impl CheckpointStore {
         workload: &PreparedWorkload,
         config: &SimConfig,
     ) -> Result<Option<SharedWarmup>, CheckpointError> {
-        count_load(self.load_prefix_impl(workload, config))
-    }
-
-    fn load_prefix_impl(
-        &self,
-        workload: &PreparedWorkload,
-        config: &SimConfig,
-    ) -> Result<Option<SharedWarmup>, CheckpointError> {
         let path = self.prefix_path(workload, config);
-        let (kind, meta, payload) = match retry_transient(|| read_checkpoint(&path)) {
-            Ok(parts) => parts,
-            Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(None)
-            }
-            Err(e) => return Err(e),
-        };
-        if kind != CheckpointKind::SharedPrefix
-            || meta != self.expected_prefix_meta(workload, config)
-        {
-            return Ok(None);
-        }
-        let mut r = SnapReader::new(&payload);
-        let shared_start = payload.len() - r.remaining();
-        let _ = r.section(b"SHRD")?; // validated; bytes kept whole below
-        let shared_end = payload.len() - r.remaining();
-        let mut tape = WarmupTape::new();
-        tape.restore(&mut r)?;
-        r.finish()?;
-        Ok(Some(SharedWarmup { shared: payload[shared_start..shared_end].to_vec(), tape }))
+        let expected = self.expected_prefix_meta(workload, config);
+        load_keyed(&path, CheckpointKind::SharedPrefix, &expected, |payload| {
+            let mut r = SnapReader::new(payload);
+            let shared_start = payload.len() - r.remaining();
+            let _ = r.section(b"SHRD")?; // validated; bytes kept whole below
+            let shared_end = payload.len() - r.remaining();
+            let mut tape = WarmupTape::new();
+            tape.restore(&mut r)?;
+            r.finish()?;
+            Ok(SharedWarmup { shared: payload[shared_start..shared_end].to_vec(), tape })
+        })
     }
 
     /// Where the **policy overlay** for `(workload, config)` lives —
     /// keyed like a full fast-forward checkpoint (policy included).
     #[must_use]
     pub fn overlay_path(&self, workload: &PreparedWorkload, config: &SimConfig) -> PathBuf {
-        self.dir.join(format!(
-            "{}-{}-{}-ff{}-ovl-{:016x}-{:016x}.ckpt",
-            workload.spec.name,
-            trace_layout(config.layout).tag(),
-            config.hierarchy.l2_policy.name().to_ascii_lowercase(),
-            config.fast_forward,
-            workload_fingerprint(workload, config),
-            warmup_config_hash(config),
-        ))
+        let policy = Some(config.hierarchy.l2_policy);
+        self.file(workload, config, policy, "-ovl", warmup_config_hash(config))
     }
 
     /// The metadata a valid policy overlay must carry.
@@ -917,12 +932,8 @@ impl CheckpointStore {
     pub fn save_overlay(&self, run: &SimRun<'_>) -> Result<PathBuf, CheckpointError> {
         assert!(!run.is_measuring(), "overlays are fast-forward states");
         let meta = self.expected_overlay_meta(run.workload(), run.config());
-        let mut payload = SnapWriter::new();
-        run.save_overlay(&mut payload);
         let path = self.overlay_path(run.workload(), run.config());
-        write_checkpoint_kind(&path, CheckpointKind::PolicyOverlay, &meta, payload.bytes())?;
-        note_save();
-        Ok(path)
+        save_keyed(path, CheckpointKind::PolicyOverlay, &meta, |w| run.save_overlay(w))
     }
 
     /// Loads the overlay for `(workload, config)` into `run`, whose
@@ -940,28 +951,14 @@ impl CheckpointStore {
     /// Damaged files, as [`CheckpointStore::load`], plus overlay
     /// payloads whose shape does not match the run's machine.
     pub fn load_overlay_into(&self, run: &mut SimRun<'_>) -> Result<bool, CheckpointError> {
-        let result = self.load_overlay_into_impl(run);
-        count_load(result.map(|loaded| loaded.then_some(()))).map(|opt| opt.is_some())
-    }
-
-    fn load_overlay_into_impl(&self, run: &mut SimRun<'_>) -> Result<bool, CheckpointError> {
         let path = self.overlay_path(run.workload(), run.config());
-        let (kind, meta, payload) = match retry_transient(|| read_checkpoint(&path)) {
-            Ok(parts) => parts,
-            Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(false)
-            }
-            Err(e) => return Err(e),
-        };
-        if kind != CheckpointKind::PolicyOverlay
-            || meta != self.expected_overlay_meta(run.workload(), run.config())
-        {
-            return Ok(false);
-        }
-        let mut r = SnapReader::new(&payload);
-        run.restore_overlay(&mut r)?;
-        r.finish()?;
-        Ok(true)
+        let expected = self.expected_overlay_meta(run.workload(), run.config());
+        let loaded = load_keyed(&path, CheckpointKind::PolicyOverlay, &expected, |payload| {
+            let mut r = SnapReader::new(payload);
+            run.restore_overlay(&mut r)?;
+            Ok(r.finish()?)
+        })?;
+        Ok(loaded.is_some())
     }
 
     /// Total bytes the store's container files occupy on disk
@@ -1245,6 +1242,47 @@ impl SharedWarmup {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every single-byte mutation of a small container — every position,
+    /// every other byte value — yields a typed error or the identical
+    /// decode, never a panic or a different payload.
+    #[test]
+    fn every_single_byte_mutation_is_rejected_or_harmless() {
+        let path =
+            std::env::temp_dir().join(format!("trrip-ckpt-mutation-{}.ckpt", std::process::id()));
+        let meta = CheckpointMeta {
+            benchmark: "mutation".into(),
+            policy: "SRRIP".into(),
+            fingerprint: 0x0123_4567_89ab_cdef,
+            config_hash: 0xfedc_ba98_7654_3210,
+            stream_position: 300_000,
+            mid_measure: false,
+        };
+        let payload: Vec<u8> = (0..256u32).map(|i| (i * 7 % 13 + i / 64) as u8).collect();
+        write_checkpoint_kind(&path, CheckpointKind::PolicyOverlay, &meta, &payload)
+            .expect("write");
+        let pristine = std::fs::read(&path).expect("read back");
+        let _ = std::fs::remove_file(&path);
+        let original = decode_checkpoint(&pristine).expect("pristine container decodes");
+        assert_eq!(original, (CheckpointKind::PolicyOverlay, meta, payload));
+
+        let mut mutated = pristine.clone();
+        let mut rejected = 0usize;
+        for pos in 0..pristine.len() {
+            for delta in 1..=255u8 {
+                mutated[pos] = pristine[pos] ^ delta;
+                match decode_checkpoint(&mutated) {
+                    Err(_) => rejected += 1,
+                    Ok(decoded) => assert!(
+                        decoded == original,
+                        "byte {pos} ^ {delta:#04x} decoded to a different container"
+                    ),
+                }
+            }
+            mutated[pos] = pristine[pos];
+        }
+        assert!(rejected > 0);
+    }
 
     fn transient(kind: std::io::ErrorKind) -> CheckpointError {
         CheckpointError::Io(std::io::Error::from(kind))

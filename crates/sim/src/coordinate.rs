@@ -1,7 +1,10 @@
 //! Crash-tolerant multi-process sweeps: N independent worker
 //! *processes* share one trace dir + checkpoint dir and cooperatively
-//! execute the segment-task DAG of a sharded sweep (see
-//! [`crate::shard`]), surviving workers that are SIGKILLed mid-segment.
+//! execute the segment-task DAG of a sharded sweep, surviving workers
+//! that are SIGKILLed mid-segment. Each worker runs the executor's one
+//! segment-task loop (see [`crate::shard`]); this module supplies only
+//! its claim backend — the claim files, heartbeats, stale-claim
+//! reclamation, backoff and fragment files below.
 //!
 //! # The claim protocol
 //!
@@ -55,14 +58,15 @@ use std::sync::Mutex;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use trrip_policies::PolicyKind;
-use trrip_snap::{Checksum, SnapError, SnapReader, SnapWriter, Snapshot};
+use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
-use crate::capture::{trace_layout, workload_fingerprint, TraceStore};
-use crate::checkpoint::{warmup_config_hash, CheckpointStore};
+use crate::capture::TraceStore;
+use crate::checkpoint::{CheckpointStore, Container};
 use crate::config::SimConfig;
-use crate::experiment::SweepResult;
+use crate::experiment::{artifact_damaged, SweepResult};
 use crate::prepare::PreparedWorkload;
-use crate::shard::{run_segment, Carry, ShardPlan};
+use crate::shard::{Claims, SegmentTasks, ShardPlan};
+use crate::sweep::Sweep;
 use crate::system::SimResult;
 
 /// Fragment container magic: `b"TRRIPFRG"`.
@@ -160,66 +164,30 @@ impl From<SnapError> for CoordError {
     }
 }
 
-/// The coordination root under a shared checkpoint directory.
-#[must_use]
-pub fn coord_dir(checkpoints: &CheckpointStore) -> PathBuf {
-    checkpoints.dir().join("coord")
-}
-
-fn claims_dir(checkpoints: &CheckpointStore) -> PathBuf {
-    coord_dir(checkpoints).join("claims")
-}
-
-fn fragments_dir(checkpoints: &CheckpointStore) -> PathBuf {
-    coord_dir(checkpoints).join("fragments")
-}
-
-/// The store-style stem naming task `(workload, config, segment k)`:
-/// the same key space as segment checkpoints — benchmark, layout,
-/// policy, fast-forward, segment ordinal + measure position, profiler
-/// flags, fingerprint, warmup hash.
-fn task_stem(
+/// Task `(workload, config, segment k)`'s claim file and result
+/// fragment under `<checkpoint-dir>/coord/`, named like the chain link
+/// segment `k` starts from — benchmark, layout, policy, fast-forward,
+/// segment ordinal + measure position, profiler flags, fingerprint,
+/// warmup hash.
+fn task_paths(
+    checkpoints: &CheckpointStore,
     workload: &PreparedWorkload,
     config: &SimConfig,
     plan: &ShardPlan,
     k: usize,
-) -> String {
-    format!(
-        "{}-{}-{}-ff{}-seg{k}@{}-m{}{}-{:016x}-{:016x}",
-        workload.spec.name,
-        trace_layout(config.layout).tag(),
-        config.hierarchy.l2_policy.name().to_ascii_lowercase(),
-        config.fast_forward,
-        plan.measure_start(k),
-        u8::from(config.measure_reuse),
-        u8::from(config.track_costly),
-        workload_fingerprint(workload, config),
-        warmup_config_hash(config),
+) -> (PathBuf, PathBuf) {
+    let link = checkpoints.segment_path(workload, config, k, plan.measure_start(k));
+    let stem = file_name(&link.with_extension("")).into_owned();
+    let coord = checkpoints.dir().join("coord");
+    (
+        coord.join("claims").join(format!("{stem}.claim")),
+        coord.join("fragments").join(format!("{stem}.frag")),
     )
 }
 
-/// Where task `(workload, config, k)`'s claim file lives.
-#[must_use]
-pub fn claim_path(
-    checkpoints: &CheckpointStore,
-    workload: &PreparedWorkload,
-    config: &SimConfig,
-    plan: &ShardPlan,
-    k: usize,
-) -> PathBuf {
-    claims_dir(checkpoints).join(format!("{}.claim", task_stem(workload, config, plan, k)))
-}
-
-/// Where task `(workload, config, k)`'s result fragment lives.
-#[must_use]
-pub fn fragment_path(
-    checkpoints: &CheckpointStore,
-    workload: &PreparedWorkload,
-    config: &SimConfig,
-    plan: &ShardPlan,
-    k: usize,
-) -> PathBuf {
-    fragments_dir(checkpoints).join(format!("{}.frag", task_stem(workload, config, plan, k)))
+/// A file's name, for journal fields.
+fn file_name(path: &Path) -> std::borrow::Cow<'_, str> {
+    path.file_name().unwrap_or_default().to_string_lossy()
 }
 
 // ---------------------------------------------------------------------
@@ -343,40 +311,28 @@ fn restore_result(body: &[u8]) -> Result<SimResult, CoordError> {
     })
 }
 
-/// Writes a fragment container atomically (temp + rename). Layout
-/// mirrors checkpoints: magic, version, body length, body, word-folded
-/// checksum — torn or damaged writes are detected on read, never
-/// silently merged.
+/// The result-fragment container: the checkpoint framing under its own
+/// magic and version.
+const FRAGMENT: Container = Container {
+    magic: FRAGMENT_MAGIC,
+    version: FRAGMENT_VERSION,
+    bound_from: u16::MAX,
+    seam: "coord.fragment.save",
+};
+
+/// Writes a fragment container atomically (temp + rename) in the
+/// checkpoints' framing — magic, version, body length, body, checksum —
+/// so torn or damaged writes are detected on read, never silently
+/// merged. The `coord.fragment.save` fault seam sits before the rename:
+/// tear/damage the flushed temp (the container checksum then catches it
+/// and the fragment re-runs) or kill the worker (claim reclamation takes
+/// over).
 ///
 /// # Errors
 ///
 /// Propagates I/O failures.
 pub fn write_fragment(path: &Path, result: &SimResult) -> Result<(), CoordError> {
-    let body = save_result(result);
-    let mut checksum = Checksum::new();
-    checksum.update(&body);
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let tmp = path.with_extension(format!("tmp.{}.{seq}", std::process::id()));
-    {
-        let mut file = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-        file.write_all(&FRAGMENT_MAGIC)?;
-        file.write_all(&FRAGMENT_VERSION.to_le_bytes())?;
-        file.write_all(&(body.len() as u64).to_le_bytes())?;
-        file.write_all(&body)?;
-        file.write_all(&checksum.value().to_le_bytes())?;
-        file.flush()?;
-    }
-    // The torn-write seam for result fragments, mirroring
-    // `ckpt.save.partial`: tear/damage the flushed temp (the damage is
-    // then caught by the container checksum and the fragment re-run) or
-    // kill the worker here (claim reclamation takes over).
-    trrip_obs::fault!("coord.fragment.save", &tmp);
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    Ok(FRAGMENT.write(path, &save_result(result))?)
 }
 
 /// Reads and validates a fragment container.
@@ -388,29 +344,9 @@ pub fn write_fragment(path: &Path, result: &SimResult) -> Result<(), CoordError>
 /// body shape.
 pub fn read_fragment(path: &Path) -> Result<SimResult, CoordError> {
     let bytes = std::fs::read(path)?;
-    if bytes.len() < 18 || bytes[..8] != FRAGMENT_MAGIC {
-        return Err(CoordError::Corrupt(format!("{}: not a fragment", path.display())));
-    }
-    let version = u16::from_le_bytes(bytes[8..10].try_into().expect("2 bytes"));
-    if version > FRAGMENT_VERSION {
-        return Err(CoordError::Corrupt(format!("{}: fragment version {version}", path.display())));
-    }
-    let body_len = usize::try_from(u64::from_le_bytes(bytes[10..18].try_into().expect("8 bytes")))
-        .map_err(|_| CoordError::Corrupt(format!("{}: length overflows", path.display())))?;
-    if body_len.checked_add(26) != Some(bytes.len()) {
-        return Err(CoordError::Corrupt(format!(
-            "{}: body length {body_len} does not match file ({} bytes)",
-            path.display(),
-            bytes.len()
-        )));
-    }
-    let body = &bytes[18..18 + body_len];
-    let expected = u64::from_le_bytes(bytes[18 + body_len..].try_into().expect("8 bytes"));
-    let mut checksum = Checksum::new();
-    checksum.update(body);
-    if checksum.value() != expected {
-        return Err(CoordError::Corrupt(format!("{}: checksum mismatch", path.display())));
-    }
+    let (_, body) = FRAGMENT
+        .open(&bytes)
+        .map_err(|e| CoordError::Corrupt(format!("{}: {e}", path.display())))?;
     restore_result(body)
 }
 
@@ -490,10 +426,7 @@ fn try_reclaim(path: &Path, worker: &str, age: Duration) -> bool {
         &[
             ("worker", trrip_obs::Field::Str(worker)),
             ("prev_worker", trrip_obs::Field::Str(&holder)),
-            (
-                "claim",
-                trrip_obs::Field::Str(&path.file_name().unwrap_or_default().to_string_lossy()),
-            ),
+            ("claim", trrip_obs::Field::Str(&file_name(path))),
             ("stale_ms", trrip_obs::Field::U64(age.as_millis() as u64)),
         ],
     );
@@ -520,10 +453,7 @@ fn release_claim(path: &Path, worker: &str, report: &mut WorkerReport) {
         "claim_lost",
         &[
             ("worker", trrip_obs::Field::Str(worker)),
-            (
-                "claim",
-                trrip_obs::Field::Str(&path.file_name().unwrap_or_default().to_string_lossy()),
-            ),
+            ("claim", trrip_obs::Field::Str(&file_name(path))),
         ],
     );
 }
@@ -564,41 +494,202 @@ impl Backoff {
 // The worker
 // ---------------------------------------------------------------------
 
-/// Whether task `(workload, config, k)` is complete: a fragment file
-/// that exists **and validates**. A damaged fragment (torn write landed
-/// by a fault or a dying writer racing rename — the container checksum
-/// catches it) is deleted and journaled so the task re-runs.
-fn fragment_complete(path: &Path) -> bool {
+/// Reads task `path`'s fragment: `Some` when the file exists **and
+/// validates**, `None` when it is missing or damaged. A damaged fragment
+/// (torn write landed by a fault or a dying writer racing rename — the
+/// container checksum catches it) is reported and deleted so the task
+/// re-runs.
+///
+/// # Errors
+///
+/// Filesystem failures other than a missing file.
+fn valid_fragment(path: &Path) -> Result<Option<SimResult>, CoordError> {
     match read_fragment(path) {
-        Ok(_) => true,
-        Err(CoordError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => false,
+        Ok(fragment) => Ok(Some(fragment)),
+        Err(CoordError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(CoordError::Io(e)) => Err(CoordError::Io(e)),
         Err(e) => {
             trrip_obs::counter!("coord.fragment_damaged").incr();
-            trrip_obs::event(
-                "artifact_damaged",
-                &[
-                    ("what", trrip_obs::Field::Str("result fragment")),
-                    (
-                        "file",
-                        trrip_obs::Field::Str(
-                            &path.file_name().unwrap_or_default().to_string_lossy(),
-                        ),
-                    ),
-                    ("error", trrip_obs::Field::Str(&e.to_string())),
-                    ("next", trrip_obs::Field::Str("re-running segment")),
-                ],
-            );
+            artifact_damaged("result fragment", &file_name(path), &e, "re-running segment");
             let _ = std::fs::remove_file(path);
-            false
+            Ok(None)
         }
     }
 }
 
+/// What one visit of the file backend found for a task.
+enum Visit {
+    /// A valid fragment is on disk.
+    Done,
+    /// Not runnable yet: no live carry and no persisted chain link.
+    Blocked,
+    /// Another worker holds a live claim on it.
+    Busy,
+    /// This worker now holds its claim.
+    Claimed,
+}
+
+/// The file claim backend of the segment-task loop: `O_EXCL` claim
+/// files, stale-claim reclamation, jittered backoff and fragment files.
+/// It visits the tasks in passes; a worker exits only after one full
+/// pass read every fragment back valid — it never trusts its own
+/// publish, so a torn own-write is caught by the same checksum scan as
+/// anyone else's.
+struct FileClaims<'a> {
+    tasks: &'a SegmentTasks<'a>,
+    checkpoints: &'a CheckpointStore,
+    opts: &'a WorkerOptions,
+    /// Claims held right now, heartbeated by the worker's second thread.
+    held: &'a Mutex<Vec<PathBuf>>,
+    report: WorkerReport,
+    backoff: Backoff,
+    /// The next task (flat index) the current pass visits.
+    cursor: usize,
+    /// Tasks the current pass found without a valid fragment.
+    incomplete: usize,
+    /// Whether the current pass published anything.
+    progressed: bool,
+    fruitless_passes: u32,
+}
+
+impl FileClaims<'_> {
+    /// Task `(cell, seg)`'s claim and fragment paths.
+    fn paths(&self, cell: usize, seg: usize) -> (PathBuf, PathBuf) {
+        let (wi, config) = &self.tasks.cells[cell];
+        task_paths(
+            self.checkpoints,
+            &self.tasks.sweep.workloads[*wi],
+            config,
+            &self.tasks.plan,
+            seg,
+        )
+    }
+
+    fn conflict(&mut self) -> Visit {
+        trrip_obs::counter!("coord.claim_conflict").incr();
+        self.report.conflicts += 1;
+        Visit::Busy
+    }
+
+    /// Visits task `(cell, seg)`: checks its fragment, then — if it is
+    /// runnable (a live carry, the chain's first segment, or a persisted
+    /// chain link) — reclaims a stale claim and acquires it.
+    fn visit(&mut self, cell: usize, seg: usize, live_carry: bool) -> Visit {
+        let (claim, fragment) = self.paths(cell, seg);
+        if matches!(valid_fragment(&fragment), Ok(Some(_))) {
+            return Visit::Done;
+        }
+        self.incomplete += 1;
+        // After repeated fruitless passes every task is fair game cold:
+        // liveness must not hinge on chain links that may never appear
+        // (deleted stores, damaged link + dead owner).
+        let force_cold = self.fruitless_passes >= 3;
+        if !(live_carry || seg == 0 || self.tasks.has_link(cell, seg) || force_cold) {
+            return Visit::Blocked;
+        }
+        if claim.exists() {
+            match claim_age(&claim) {
+                Some(age) if age > self.opts.stale_after => {
+                    if !try_reclaim(&claim, &self.opts.worker, age) {
+                        return Visit::Busy;
+                    }
+                    self.report.reclaims += 1;
+                }
+                _ => return self.conflict(),
+            }
+        }
+        match try_acquire(&claim, &self.opts.worker) {
+            Ok(true) => {}
+            Ok(false) => return self.conflict(),
+            Err(e) => panic!("acquiring claim {}: {e}", claim.display()),
+        }
+        self.report.claims += 1;
+        trrip_obs::counter!("coord.claim").incr();
+        trrip_obs::event(
+            "claim_acquired",
+            &[
+                ("worker", trrip_obs::Field::Str(&self.opts.worker)),
+                ("cell", trrip_obs::Field::U64(cell as u64)),
+                ("segment", trrip_obs::Field::U64(seg as u64)),
+            ],
+        );
+        self.held.lock().expect("held-claims lock").push(claim);
+        if force_cold && !live_carry && seg != 0 {
+            self.report.cold_forced += 1;
+            trrip_obs::counter!("coord.cold_forced").incr();
+        }
+        // A kill here dies holding a fresh claim with no progress: the
+        // pure stale-claim-reclamation path.
+        trrip_obs::fault!("coord.claim.acquired");
+        Visit::Claimed
+    }
+}
+
+impl Claims for FileClaims<'_> {
+    fn next(&mut self) -> Option<(usize, usize)> {
+        let segments = self.tasks.plan.segments();
+        let total = self.tasks.cells.len() * segments;
+        loop {
+            if self.cursor == total {
+                if self.incomplete == 0 {
+                    return None;
+                }
+                if self.progressed {
+                    self.fruitless_passes = 0;
+                    self.backoff.reset();
+                } else {
+                    self.fruitless_passes += 1;
+                    trrip_obs::counter!("coord.backoff").incr();
+                    std::thread::sleep(self.backoff.next());
+                }
+                (self.cursor, self.incomplete, self.progressed) = (0, 0, false);
+            }
+            let (cell, seg) = (self.cursor / segments, self.cursor % segments);
+            self.cursor += 1;
+            match self.visit(cell, seg, false) {
+                Visit::Claimed => return Some((cell, seg)),
+                // The rest of this chain is blocked too.
+                Visit::Blocked => self.cursor = (cell + 1) * segments,
+                Visit::Done | Visit::Busy => {}
+            }
+        }
+    }
+
+    fn claim_successor(&mut self, cell: usize, segment: usize) -> bool {
+        self.cursor = cell * self.tasks.plan.segments() + segment + 1;
+        matches!(self.visit(cell, segment, true), Visit::Claimed)
+    }
+
+    fn publish(&mut self, cell: usize, segment: usize, fragment: SimResult) {
+        // A kill here dies mid-measure from the sweep's point of view:
+        // segment simulated, chain link saved, fragment not yet
+        // published, claim held.
+        trrip_obs::fault!("coord.segment.done");
+        let (claim, path) = self.paths(cell, segment);
+        write_fragment(&path, &fragment)
+            .unwrap_or_else(|e| panic!("writing fragment {}: {e}", path.display()));
+        self.report.fragments += 1;
+        trrip_obs::counter!("coord.fragment_saved").incr();
+        trrip_obs::event(
+            "fragment_saved",
+            &[
+                ("worker", trrip_obs::Field::Str(&self.opts.worker)),
+                ("cell", trrip_obs::Field::U64(cell as u64)),
+                ("segment", trrip_obs::Field::U64(segment as u64)),
+            ],
+        );
+        self.held.lock().expect("held-claims lock").retain(|p| p != &claim);
+        release_claim(&claim, &self.opts.worker, &mut self.report);
+        self.progressed = true;
+    }
+}
+
 /// Runs one worker of a coordinated multi-process sweep to completion:
-/// claims runnable segment tasks, executes them through the sharded
-/// executor (live carry → chained checkpoint → cold fallback), persists
-/// fragments, heartbeats its claims, and reclaims stale claims left by
-/// dead workers. Returns when every task of the sweep has a fragment.
+/// claims runnable segment tasks, executes them through the
+/// segment-task loop (live carry → chained checkpoint → cold fallback),
+/// persists fragments, heartbeats its claims, and reclaims stale claims
+/// left by dead workers. Returns when every task of the sweep has a
+/// fragment.
 ///
 /// Any number of workers — in this process, in others, on a shared
 /// filesystem — may run this concurrently with the same arguments; the
@@ -618,34 +709,41 @@ pub fn coordinate_worker(
     shards: usize,
     opts: &WorkerOptions,
 ) -> WorkerReport {
-    let plan = ShardPlan::new(config, shards);
-    let k = plan.segments();
-    let cells: Vec<(usize, SimConfig)> = (0..workloads.len())
-        .flat_map(|w| policies.iter().map(move |&p| (w, config.clone().with_policy(p))))
-        .collect();
-
+    let sweep =
+        Sweep::new(workloads, config, policies).replay(traces, Some(checkpoints)).shards(shards);
     // Captures are temp+rename, so racing workers are safe — they just
-    // duplicate work. Claim the capture like any other task to avoid it.
-    let paths: Vec<PathBuf> = workloads
-        .iter()
-        .map(|w| {
-            traces.ensure(w, config).unwrap_or_else(|e| panic!("capturing {}: {e}", w.spec.name))
-        })
-        .collect();
+    // duplicate work.
+    let tasks = SegmentTasks {
+        sweep: &sweep,
+        cells: sweep.cells(),
+        plan: sweep.plan(),
+        paths: sweep.capture(1, traces),
+    };
 
     trrip_obs::event(
         "worker_started",
         &[
             ("worker", trrip_obs::Field::Str(&opts.worker)),
             ("pid", trrip_obs::Field::U64(u64::from(std::process::id()))),
-            ("cells", trrip_obs::Field::U64(cells.len() as u64)),
-            ("segments", trrip_obs::Field::U64(k as u64)),
+            ("cells", trrip_obs::Field::U64(tasks.cells.len() as u64)),
+            ("segments", trrip_obs::Field::U64(tasks.plan.segments() as u64)),
         ],
     );
 
     let held: Mutex<Vec<PathBuf>> = Mutex::new(Vec::new());
     let stop = AtomicBool::new(false);
-    let mut report = WorkerReport::default();
+    let mut claims = FileClaims {
+        tasks: &tasks,
+        checkpoints,
+        opts,
+        held: &held,
+        report: WorkerReport::default(),
+        backoff: Backoff::new(&opts.worker, opts.poll),
+        cursor: 0,
+        incomplete: 0,
+        progressed: false,
+        fruitless_passes: 0,
+    };
 
     std::thread::scope(|scope| {
         // The heartbeat thread: touch every held claim each period. A
@@ -671,146 +769,11 @@ pub fn coordinate_worker(
                 std::thread::sleep(opts.heartbeat);
             }
         });
-
-        let mut backoff = Backoff::new(&opts.worker, opts.poll);
-        let mut fruitless_passes = 0u32;
-        loop {
-            let mut progressed = false;
-            let mut incomplete = 0usize;
-            // After repeated fruitless passes every task is fair game
-            // cold: liveness must not hinge on chain links that may
-            // never appear (deleted stores, damaged link + dead owner).
-            let force_cold = fruitless_passes >= 3;
-
-            for (cell, (wi, cell_config)) in cells.iter().enumerate() {
-                let workload = &workloads[*wi];
-                let mut carry: Option<Carry<'_>> = None;
-                for seg in 0..k {
-                    let frag = fragment_path(checkpoints, workload, cell_config, &plan, seg);
-                    if fragment_complete(&frag) {
-                        carry = None;
-                        continue;
-                    }
-                    incomplete += 1;
-                    // Prefer tasks that start warm: a live carry, the
-                    // chain's first segment, or a persisted chain link.
-                    let runnable = carry.is_some()
-                        || seg == 0
-                        || checkpoints.has_segment(
-                            workload,
-                            cell_config,
-                            seg - 1,
-                            plan.measure_start(seg),
-                        )
-                        || force_cold;
-                    if !runnable {
-                        break; // the rest of this chain is blocked too
-                    }
-
-                    let claim = claim_path(checkpoints, workload, cell_config, &plan, seg);
-                    if claim.exists() {
-                        match claim_age(&claim) {
-                            Some(age) if age > opts.stale_after => {
-                                if !try_reclaim(&claim, &opts.worker, age) {
-                                    carry = None;
-                                    continue;
-                                }
-                                report.reclaims += 1;
-                                // fall through to a fresh acquire
-                            }
-                            _ => {
-                                trrip_obs::counter!("coord.claim_conflict").incr();
-                                report.conflicts += 1;
-                                carry = None;
-                                continue;
-                            }
-                        }
-                    }
-                    match try_acquire(&claim, &opts.worker) {
-                        Ok(true) => {}
-                        Ok(false) => {
-                            trrip_obs::counter!("coord.claim_conflict").incr();
-                            report.conflicts += 1;
-                            carry = None;
-                            continue;
-                        }
-                        Err(e) => panic!("acquiring claim {}: {e}", claim.display()),
-                    }
-                    report.claims += 1;
-                    trrip_obs::counter!("coord.claim").incr();
-                    trrip_obs::event(
-                        "claim_acquired",
-                        &[
-                            ("worker", trrip_obs::Field::Str(&opts.worker)),
-                            ("cell", trrip_obs::Field::U64(cell as u64)),
-                            ("segment", trrip_obs::Field::U64(seg as u64)),
-                        ],
-                    );
-                    held.lock().expect("held-claims lock").push(claim.clone());
-                    if force_cold && carry.is_none() && seg != 0 {
-                        report.cold_forced += 1;
-                        trrip_obs::counter!("coord.cold_forced").incr();
-                    }
-                    // A kill here dies holding a fresh claim with no
-                    // progress: the pure stale-claim-reclamation path.
-                    trrip_obs::fault!("coord.claim.acquired");
-
-                    let (fragment, next_carry) = run_segment(
-                        workload,
-                        cell_config,
-                        &plan,
-                        seg,
-                        carry.take(),
-                        &paths[*wi],
-                        Some(checkpoints),
-                    );
-                    // A kill here dies mid-measure from the sweep's
-                    // point of view: segment simulated, chain link
-                    // saved, fragment not yet published, claim held.
-                    trrip_obs::fault!("coord.segment.done");
-                    write_fragment(&frag, &fragment)
-                        .unwrap_or_else(|e| panic!("writing fragment {}: {e}", frag.display()));
-                    report.fragments += 1;
-                    trrip_obs::counter!("coord.fragment_saved").incr();
-                    trrip_obs::event(
-                        "fragment_saved",
-                        &[
-                            ("worker", trrip_obs::Field::Str(&opts.worker)),
-                            ("cell", trrip_obs::Field::U64(cell as u64)),
-                            ("segment", trrip_obs::Field::U64(seg as u64)),
-                        ],
-                    );
-                    held.lock().expect("held-claims lock").retain(|p| p != &claim);
-                    release_claim(&claim, &opts.worker, &mut report);
-                    progressed = true;
-                    // Deliberately NOT decremented here: a worker never
-                    // trusts its own publish. The task stays incomplete
-                    // until a later pass *reads the fragment back* —
-                    // so a torn own-write (`coord.fragment.save`
-                    // truncating the temp before rename) is caught by
-                    // the same checksum scan as anyone else's, and a
-                    // worker only exits after one full pass observed
-                    // every fragment valid on disk.
-                    carry = Some(next_carry);
-                }
-            }
-
-            if incomplete == 0 {
-                break;
-            }
-            if progressed {
-                fruitless_passes = 0;
-                backoff.reset();
-            } else {
-                fruitless_passes += 1;
-                trrip_obs::counter!("coord.backoff").incr();
-                std::thread::sleep(backoff.next());
-            }
-        }
-
+        tasks.work(&mut claims);
         stop.store(true, Ordering::Relaxed);
     });
 
+    let report = claims.report;
     trrip_obs::event(
         "worker_finished",
         &[
@@ -827,10 +790,11 @@ pub fn coordinate_worker(
 // The collector
 // ---------------------------------------------------------------------
 
-/// Merges a coordinated sweep's fragments into a [`SweepResult`],
-/// bit-identical to the single-process sharded sweep over the same
-/// inputs. Returns `Ok(None)` while any fragment is missing or damaged
-/// (damaged ones are deleted so a worker pass can heal them).
+/// Merges a coordinated sweep's fragments into a [`SweepResult`] — the
+/// plan's fragment fold over the fragments on disk, bit-identical to the
+/// single-process sharded sweep over the same inputs. Returns `Ok(None)`
+/// while any fragment is missing or damaged (damaged ones are deleted so
+/// a worker pass can heal them).
 ///
 /// # Errors
 ///
@@ -842,76 +806,19 @@ pub fn collect_results(
     checkpoints: &CheckpointStore,
     shards: usize,
 ) -> Result<Option<SweepResult>, CoordError> {
+    let sweep = Sweep::new(workloads, config, policies);
     let plan = ShardPlan::new(config, shards);
-    let mut results = Vec::with_capacity(workloads.len() * policies.len());
-    for workload in workloads {
-        for &policy in policies {
-            let cell_config = config.clone().with_policy(policy);
-            let mut whole: Option<SimResult> = None;
-            for seg in 0..plan.segments() {
-                let path = fragment_path(checkpoints, workload, &cell_config, &plan, seg);
-                let fragment = match read_fragment(&path) {
-                    Ok(fragment) => fragment,
-                    Err(CoordError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                        return Ok(None)
-                    }
-                    Err(CoordError::Io(e)) => return Err(CoordError::Io(e)),
-                    Err(CoordError::Corrupt(_)) => {
-                        // Same healing contract as the workers: delete
-                        // so the segment re-runs, report incomplete.
-                        let _ = std::fs::remove_file(&path);
-                        return Ok(None);
-                    }
-                };
-                whole = Some(match whole.take() {
-                    None => fragment,
-                    Some(mut merged) => {
-                        merged.merge(&fragment);
-                        merged
-                    }
-                });
+    let mut fragments = Vec::new();
+    for (wi, cell_config) in sweep.cells() {
+        for seg in 0..plan.segments() {
+            let (_, path) = task_paths(checkpoints, &workloads[wi], &cell_config, &plan, seg);
+            match valid_fragment(&path)? {
+                Some(fragment) => fragments.push(fragment),
+                None => return Ok(None),
             }
-            results.push(whole.expect("a plan always has at least one segment"));
         }
     }
-    Ok(Some(SweepResult {
-        results,
-        policies: policies.to_vec(),
-        benchmarks: workloads.iter().map(|w| w.spec.name.clone()).collect(),
-    }))
-}
-
-/// One live-ness snapshot of the claim table, for status displays and
-/// the distributed bench's coordinator.
-#[derive(Debug, Clone)]
-pub struct ClaimInfo {
-    /// Claim file name (the task key).
-    pub name: String,
-    /// Worker id stamped on the claim.
-    pub holder: String,
-    /// Time since the last heartbeat touched it.
-    pub age: Duration,
-}
-
-/// Lists the currently held claims under a checkpoint store, oldest
-/// heartbeat first.
-#[must_use]
-pub fn scan_claims(checkpoints: &CheckpointStore) -> Vec<ClaimInfo> {
-    let Ok(entries) = std::fs::read_dir(claims_dir(checkpoints)) else { return Vec::new() };
-    let mut claims: Vec<ClaimInfo> = entries
-        .flatten()
-        .filter(|e| e.path().extension().is_some_and(|x| x == "claim"))
-        .filter_map(|e| {
-            let path = e.path();
-            Some(ClaimInfo {
-                name: path.file_name()?.to_string_lossy().into_owned(),
-                holder: claim_holder(&path),
-                age: claim_age(&path)?,
-            })
-        })
-        .collect();
-    claims.sort_by_key(|c| std::cmp::Reverse(c.age));
-    claims
+    Ok(Some(sweep.fold(plan.segments(), fragments)))
 }
 
 #[cfg(test)]
@@ -975,6 +882,62 @@ mod tests {
         trrip_snap::corrupt::truncate_file(&path, trrip_snap::corrupt::file_len(&path) - 3);
         assert!(matches!(read_fragment(&path), Err(CoordError::Corrupt(_))));
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Every single-byte mutation of a profiler-free fragment — every
+    /// position, every other byte value — yields a typed error or the
+    /// identical result, never a panic or a different tally.
+    #[test]
+    fn every_single_byte_fragment_mutation_is_rejected_or_harmless() {
+        let mut result = SimResult {
+            benchmark: "mutation".into(),
+            policy: PolicyKind::Trrip2,
+            core: trrip_cpu::CoreResult {
+                instructions: 3_000_000,
+                cycles: 1_234_567.25,
+                topdown: trrip_cpu::TopDown::default(),
+                branches: 400_000,
+                mispredictions: 12_345,
+                dispatch_width: 8,
+            },
+            l1i: trrip_cache::AccessStats::default(),
+            l1d: trrip_cache::AccessStats::default(),
+            l2: trrip_cache::AccessStats::default(),
+            slc: trrip_cache::AccessStats::default(),
+            tlb: trrip_os::TlbStats { hits: 99_000, misses: 1_000 },
+            pages: trrip_os::PageStats::default(),
+            reuse_base: None,
+            reuse_hot_only: None,
+            costly: None,
+        };
+        result.core.topdown.mem = 0.375;
+        result.l2.inst_misses = 4_242;
+        result.pages.hot = 17;
+
+        let path = scratch("mutation.frag");
+        write_fragment(&path, &result).expect("write");
+        let pristine = std::fs::read(&path).expect("read back");
+        let _ = std::fs::remove_file(&path);
+        let decode = |bytes: &[u8]| -> Result<SimResult, CoordError> {
+            let (_, body) = FRAGMENT.open(bytes).map_err(|e| CoordError::Corrupt(e.to_string()))?;
+            restore_result(body)
+        };
+        let original = save_result(&decode(&pristine).expect("pristine fragment decodes"));
+        assert_eq!(original, save_result(&result));
+
+        let mut mutated = pristine.clone();
+        for pos in 0..pristine.len() {
+            for delta in 1..=255u8 {
+                mutated[pos] = pristine[pos] ^ delta;
+                if let Ok(decoded) = decode(&mutated) {
+                    assert!(
+                        save_result(&decoded) == original,
+                        "byte {pos} ^ {delta:#04x} decoded to a different result"
+                    );
+                }
+            }
+            mutated[pos] = pristine[pos];
+        }
     }
 
     #[test]

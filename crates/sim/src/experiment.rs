@@ -1,26 +1,24 @@
 //! Parallel policy sweeps — the engine behind Figure 6, Table 3 and the
 //! sensitivity studies.
 //!
-//! These engines produce the same [`SweepResult`], bit-identically:
+//! Every sweep entry point here is a thin constructor over the one
+//! executor, [`crate::run_sweep`] (see [`crate::sweep`]), and they all
+//! produce the same [`SweepResult`], bit-identically:
 //!
 //! * [`policy_sweep`] / [`policy_sweep_with`] regenerate the
 //!   instruction trace with the CFG walker for every
 //!   `(workload, policy)` job — no disk, but the generation cost is
 //!   paid `policies.len()` times per workload;
-//! * [`replay_sweep`] / [`replay_sweep_with`] capture each workload's
-//!   trace to a [`TraceStore`] once, then fan each capture out
-//!   **decode-once**: a [`trrip_trace::FanoutReplay`] pipeline
-//!   (parallel chunk-decode workers + an ordered broadcaster) feeds
-//!   shared `Arc<[TraceInstr]>` batches to one simulator thread per
-//!   policy, so disk I/O + varint decode is paid once per *workload*,
-//!   not once per `(workload, policy)` job;
-//! * [`replay_sweep_warm_prefix`] is the fan-out engine over a
-//!   [`CheckpointStore`]: [`ensure_warm_prefixes`] records one shared
-//!   warmup per workload, and every cell warm-starts from it instead of
+//! * [`replay_sweep`] captures each workload's trace to a
+//!   [`TraceStore`] once, then fans each capture out **decode-once**: a
+//!   [`trrip_trace::FanoutReplay`] pipeline (parallel chunk-decode
+//!   workers + an ordered broadcaster) feeds shared batches to one
+//!   simulator thread per policy, so disk I/O + varint decode is paid
+//!   once per *workload*, not once per `(workload, policy)` job;
+//! * [`replay_sweep_warm_prefix`] is the same fan-out over a
+//!   [`CheckpointStore`]: the shared-warmup pre-pass records one warmup
+//!   per workload, and every cell warm-starts from it instead of
 //!   simulating its own fast-forward;
-//! * [`crate::replay_sweep_sharded`] (in [`crate::shard`]) cuts every
-//!   cell into checkpoint-chained segments scheduled as a DAG, and
-//!   [`crate::coordinate_worker`] runs the same DAG across processes;
 //! * [`replay_sweep_isolated`] is the decode-per-job oracle (each job
 //!   opens its own [`trrip_trace::StreamingReplay`]), kept only for the
 //!   decode-once equivalence tests.
@@ -31,13 +29,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use parking_lot::Mutex;
 use trrip_cpu::WarmupTape;
 use trrip_policies::PolicyKind;
-use trrip_trace::{FanoutOptions, FanoutReplay, FanoutSubscriber, SourceIter, TraceSource};
+use trrip_trace::{SourceIter, TraceSource};
 
 use crate::capture::TraceStore;
-use crate::checkpoint::CheckpointStore;
+use crate::checkpoint::{CheckpointError, CheckpointStore};
 use crate::config::SimConfig;
 use crate::prepare::PreparedWorkload;
-use crate::system::{simulate, simulate_source, SimResult, SimRun};
+use crate::sweep::{run_sweep, Sweep};
+use crate::system::{simulate_source, SimResult, SimRun};
 use crate::warmstats;
 
 /// Worker threads used when the caller does not cap them: one per
@@ -157,33 +156,22 @@ pub fn policy_sweep_with(
     config: &SimConfig,
     policies: &[PolicyKind],
 ) -> SweepResult {
-    let pairs: Vec<(usize, usize)> =
-        (0..workloads.len()).flat_map(|w| (0..policies.len()).map(move |p| (w, p))).collect();
-    let results = parallel_map_with(jobs, pairs.len(), |i| {
-        let (wi, pi) = pairs[i];
-        let run_config = config.clone().with_policy(policies[pi]);
-        simulate(&workloads[wi], &run_config)
-    });
-
-    SweepResult {
-        results,
-        policies: policies.to_vec(),
-        benchmarks: workloads.iter().map(|w| w.spec.name.clone()).collect(),
-    }
+    run_sweep(jobs, &Sweep::new(workloads, config, policies))
 }
 
 /// Runs every workload under every policy by streaming captured traces
 /// from `store` — capturing any that are missing first — with the
-/// decode-once fan-out engine: per workload, one
-/// [`FanoutReplay`] pipeline decodes the capture a single time (chunks
-/// decoded on parallel workers, checksummed on read) and broadcasts the
-/// shared batches to one scoped simulator thread per policy. Decode
-/// order is the file's chunk order for every subscriber, so the result
-/// is deterministic and bit-identical to [`policy_sweep`] and
+/// decode-once fan-out: per workload, one [`trrip_trace::FanoutReplay`]
+/// pipeline decodes the capture a single time (chunks decoded on
+/// parallel workers, checksummed on read) and broadcasts the shared
+/// batches to one scoped simulator thread per policy. Decode order is
+/// the file's chunk order for every subscriber, so the result is
+/// deterministic and bit-identical to [`policy_sweep`] and
 /// [`replay_sweep_isolated`] regardless of scheduling — while the
 /// expensive disk + varint work is paid once per *workload* instead of
 /// once per job ([`trrip_trace::records_decoded`] makes that promise
-/// testable).
+/// testable). For an explicit worker budget, call [`crate::run_sweep`]
+/// with a [`Sweep::replay`] plan.
 ///
 /// # Panics
 ///
@@ -196,113 +184,7 @@ pub fn replay_sweep(
     policies: &[PolicyKind],
     store: &TraceStore,
 ) -> SweepResult {
-    replay_sweep_with(default_jobs(), workloads, config, policies, store)
-}
-
-/// [`replay_sweep`] with an explicit worker budget: `jobs` caps the
-/// capture workers, the decode workers, and how many workloads fan out
-/// concurrently. Within one workload the simulator-thread count is
-/// always `policies.len()` — the broadcast protocol needs every
-/// policy's consumer live at once (a policy that waited would stall
-/// the bounded channels) — so the budget is spent on concurrent
-/// workloads in waves of `jobs / policies.len()`.
-///
-/// # Panics
-///
-/// As [`replay_sweep`].
-#[must_use]
-pub fn replay_sweep_with(
-    jobs: usize,
-    workloads: &[PreparedWorkload],
-    config: &SimConfig,
-    policies: &[PolicyKind],
-    store: &TraceStore,
-) -> SweepResult {
-    fanout_sweep(jobs, workloads, config, policies, store, |workload, run_config, subscriber| {
-        simulate_source(workload, run_config, subscriber)
-    })
-}
-
-/// The shared fan-out scaffold behind [`replay_sweep_with`] and
-/// [`replay_sweep_warm_prefix`]: captures each workload's trace, then
-/// per workload decodes once and broadcasts to one `run_cell` thread
-/// per policy. Each workload's fan-out runs `policies.len()` simulator
-/// threads, so when a sweep has fewer policies than worker slots (a
-/// 2-policy layout study on a 16-core box), whole workloads run
-/// concurrently in waves of `jobs / policies` until the slots are
-/// spent; the decode-worker budget is split across the wave.
-fn fanout_sweep<F>(
-    jobs: usize,
-    workloads: &[PreparedWorkload],
-    config: &SimConfig,
-    policies: &[PolicyKind],
-    store: &TraceStore,
-    run_cell: F,
-) -> SweepResult
-where
-    F: Fn(&PreparedWorkload, &SimConfig, FanoutSubscriber) -> SimResult + Sync,
-{
-    // Phase 1: one capture per workload (only the missing ones pay).
-    let paths: Vec<PathBuf> = parallel_map_with(jobs, workloads.len(), |i| {
-        store
-            .ensure(&workloads[i], config)
-            .unwrap_or_else(|e| panic!("capturing {}: {e}", workloads[i].spec.name))
-    });
-
-    // Phase 2: per workload, decode once and fan out to every policy.
-    let wave = (jobs / policies.len().max(1)).max(1);
-    let options = FanoutOptions {
-        decode_workers: (jobs / wave).clamp(1, FanoutOptions::default().decode_workers.max(1)),
-        ..FanoutOptions::default()
-    };
-    let run_cell = &run_cell;
-    let per_workload: Vec<Vec<SimResult>> = parallel_map_with(wave, workloads.len(), |wi| {
-        let (workload, path) = (&workloads[wi], &paths[wi]);
-        let subscribers = FanoutReplay::with_options(path, policies.len(), options)
-            .unwrap_or_else(|e| panic!("replaying {}: {e}", path.display()));
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = subscribers
-                .into_iter()
-                .zip(policies)
-                .map(|(subscriber, &policy)| {
-                    let run_config = config.clone().with_policy(policy);
-                    scope.spawn(move || {
-                        let bench = workload.spec.name.as_str();
-                        let policy_name = run_config.hierarchy.l2_policy.name();
-                        trrip_obs::event(
-                            "cell_started",
-                            &[
-                                ("benchmark", trrip_obs::Field::Str(bench)),
-                                ("policy", trrip_obs::Field::Str(policy_name)),
-                            ],
-                        );
-                        let span = trrip_obs::span!("cell");
-                        let result = run_cell(workload, &run_config, subscriber);
-                        drop(span);
-                        trrip_obs::event(
-                            "cell_finished",
-                            &[
-                                ("benchmark", trrip_obs::Field::Str(bench)),
-                                ("policy", trrip_obs::Field::Str(policy_name)),
-                                ("cycles", trrip_obs::Field::F64(result.core.cycles)),
-                            ],
-                        );
-                        result
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
-        })
-    });
-
-    SweepResult {
-        results: per_workload.into_iter().flatten().collect(),
-        policies: policies.to_vec(),
-        benchmarks: workloads.iter().map(|w| w.spec.name.clone()).collect(),
-    }
+    run_sweep(default_jobs(), &Sweep::new(workloads, config, policies).replay(store, None))
 }
 
 /// Produces a [`SimRun`] warmed to the fast-forward boundary for one
@@ -328,8 +210,8 @@ where
 /// `stream_at(pos)` supplies the instruction stream positioned `pos`
 /// instructions in, and is called exactly once: with `fast_forward` on
 /// the restore rungs (1–2), with `0` when the warmup is simulated
-/// (3–4). The fan-out engine drains its broadcast subscriber to `pos`;
-/// the sharded engine opens a (seek-positioned) replay. Both engines
+/// (3–4). The fan-out route drains its broadcast subscriber to `pos`;
+/// the segment route opens a (seek-positioned) replay. Both routes
 /// share this one ladder, so fallback routing — including the
 /// fresh-machine rebuild after a half-written overlay restore — cannot
 /// diverge between them.
@@ -350,24 +232,8 @@ where
     F: FnOnce(u64) -> SourceIter<S>,
 {
     let cell = |e: &dyn std::fmt::Display, what: &str, next: &str| {
-        if trrip_obs::journal_active() {
-            trrip_obs::event(
-                "artifact_damaged",
-                &[
-                    ("what", trrip_obs::Field::Str(what)),
-                    ("benchmark", trrip_obs::Field::Str(&workload.spec.name)),
-                    ("policy", trrip_obs::Field::Str(config.hierarchy.l2_policy.name())),
-                    ("error", trrip_obs::Field::Str(&e.to_string())),
-                    ("next", trrip_obs::Field::Str(next)),
-                ],
-            );
-        }
-        if !trrip_obs::quiet() {
-            eprintln!(
-                "[trrip] damaged {what} for {} / {}: {e}; {next}",
-                workload.spec.name, config.hierarchy.l2_policy
-            );
-        }
+        let subject = format!("{} / {}", workload.spec.name, config.hierarchy.l2_policy);
+        artifact_damaged(what, &subject, e, next);
     };
     // Journals which rung warmed this cell (next to the warm.* counters,
     // which carry the same totals without the per-cell attribution).
@@ -410,13 +276,10 @@ where
     }
 
     // 2./3. Shared prefix.
-    let prefix = match checkpoints.load_prefix(workload, config) {
-        Ok(prefix) => prefix,
-        Err(e) => {
-            cell(&e, "shared prefix", "warming cold");
-            None
-        }
-    };
+    let prefix = checkpoints.load_prefix(workload, config).unwrap_or_else(|e| {
+        cell(&e, "shared prefix", "warming cold");
+        None
+    });
     if let Some(prefix) = prefix {
         let mut run = SimRun::new(workload, config);
         prefix.apply(&mut run).expect("keyed shared prefix matches the machine");
@@ -438,9 +301,7 @@ where
         }
         let mut stream = stream_at(0);
         run.fast_forward_replayed(&mut stream, prefix.tape());
-        if let Err(e) = checkpoints.save_overlay(&run) {
-            cell(&e, "overlay save", "continuing without it");
-        }
+        save_warm_start(checkpoints.save_overlay(&run), &run);
         warmstats::count_tail_replay();
         route("tail_replay");
         return (run, stream);
@@ -450,82 +311,47 @@ where
     // prefix every other policy (and every later sweep) starts from.
     let mut run = SimRun::new(workload, config);
     let mut stream = stream_at(0);
-    let mut tape = WarmupTape::new();
-    run.fast_forward_recorded(&mut stream, &mut tape);
-    warmstats::count_recorded_warmup();
+    record_warmup(&mut run, &mut stream, checkpoints);
     route("recorded_warmup");
-    if let Err(e) = checkpoints.save_prefix(&run, &tape) {
-        cell(&e, "prefix save", "continuing without it");
-    }
-    if let Err(e) = checkpoints.save_overlay(&run) {
-        cell(&e, "overlay save", "continuing without it");
-    }
     (run, stream)
 }
 
-/// The **shared-warmup pre-pass**: for every workload whose shared
-/// prefix is missing, runs one recorded fast-forward under the neutral
-/// warmup policy ([`PolicyKind::neutral`]) and persists the prefix plus
-/// the recorder's own overlay. After this pass, a populating sweep pays
-/// **one** full warmup per workload plus a cheap predictor-free tail
-/// replay per remaining policy — instead of `policies.len()` full
-/// warmups — which is the entire point of the policy-agnostic split.
-///
-/// Idempotent and parallel over workloads (`jobs` caps the workers).
-///
-/// # Panics
-///
-/// Panics if a trace cannot be captured or replayed.
-pub fn ensure_warm_prefixes(
-    jobs: usize,
-    workloads: &[PreparedWorkload],
-    config: &SimConfig,
-    traces: &TraceStore,
+/// Simulates `run`'s warmup while recording its tape, then persists the
+/// tape as the workload's shared prefix plus `run`'s own overlay — the
+/// cold rung of the warm-start ladder and the executor's shared-warmup
+/// pre-pass.
+pub(crate) fn record_warmup<S: TraceSource>(
+    run: &mut SimRun<'_>,
+    stream: &mut SourceIter<S>,
     checkpoints: &CheckpointStore,
 ) {
-    let _: Vec<()> = parallel_map_with(jobs, workloads.len(), |i| {
-        let workload = &workloads[i];
-        // The prefix key is policy-free, so probing with the base config
-        // answers for every policy of the sweep.
-        if matches!(checkpoints.load_prefix(workload, config), Ok(Some(_))) {
-            return;
-        }
-        let path = traces
-            .ensure(workload, config)
-            .unwrap_or_else(|e| panic!("capturing {}: {e}", workload.spec.name));
-        // Synchronous reader on purpose: the recorder consumes only the
-        // warmup prefix, and the background decoder would read ahead
-        // past it (bounded-channel depth) — wasted decode the sweep
-        // repeats anyway.
-        let reader = trrip_trace::open(&path)
-            .unwrap_or_else(|e| panic!("replaying {}: {e}", path.display()));
-        let mut stream = SourceIter::new(reader);
-        let neutral = config.clone().with_policy(PolicyKind::neutral());
-        let mut run = SimRun::new(workload, &neutral);
-        let mut tape = WarmupTape::new();
-        run.fast_forward_recorded(&mut stream, &mut tape);
-        warmstats::count_recorded_warmup();
-        if let Err(e) = checkpoints.save_prefix(&run, &tape) {
-            trrip_obs::progress!("prefix save failed for {}: {e}", workload.spec.name);
-        }
-        if let Err(e) = checkpoints.save_overlay(&run) {
-            trrip_obs::progress!(
-                "overlay save failed for {} / {}: {e}",
-                workload.spec.name,
-                PolicyKind::neutral()
-            );
-        }
-    });
+    let mut tape = WarmupTape::new();
+    run.fast_forward_recorded(stream, &mut tape);
+    warmstats::count_recorded_warmup();
+    save_warm_start(checkpoints.save_prefix(run, &tape), run);
+    save_warm_start(checkpoints.save_overlay(run), run);
 }
 
-/// [`replay_sweep`] with **warm-started measurement** behind the
-/// shared-warmup pre-pass ([`ensure_warm_prefixes`]). The pre-pass
-/// records one warmup per workload whose shared prefix is missing;
-/// then each `(workload, policy)` cell warm-starts by the cheapest
-/// valid route — whole-state checkpoint, shared prefix + policy
-/// overlay, or shared prefix + warmup-tail replay, which persists the
-/// overlay for every later sweep (`warm_start_ladder` in this module
-/// documents the exact ladder). On a cold store the populating pass therefore pays
+/// Logs a failed prefix or overlay save: it only costs the warm start
+/// next time.
+fn save_warm_start(saved: Result<PathBuf, CheckpointError>, run: &SimRun<'_>) {
+    if let Err(e) = saved {
+        trrip_obs::progress!(
+            "warm-start save failed for {} / {}: {e}",
+            run.workload().spec.name,
+            run.config().hierarchy.l2_policy
+        );
+    }
+}
+
+/// [`replay_sweep`] with **warm-started measurement** over
+/// `checkpoints`, on at most `jobs` workers. The shared-warmup pre-pass
+/// records one warmup per workload whose shared prefix is missing; then
+/// each `(workload, policy)` cell warm-starts by the cheapest valid
+/// route — whole-state checkpoint, shared prefix + policy overlay, or
+/// shared prefix + warmup-tail replay, which persists the overlay for
+/// every later sweep (`warm_start_ladder` in this module documents the
+/// exact ladder). On a cold store the populating pass therefore pays
 /// predictor and FDIP-scan work once per workload, not `policies.len()`
 /// times; on a warm store — fig6/fig8/fig9 re-sweeping the same
 /// benchmarks across process runs — every cell composes prefix +
@@ -551,19 +377,7 @@ pub fn replay_sweep_warm_prefix(
     store: &TraceStore,
     checkpoints: &CheckpointStore,
 ) -> SweepResult {
-    ensure_warm_prefixes(jobs, workloads, config, store, checkpoints);
-    fanout_sweep(jobs, workloads, config, policies, store, |workload, run_config, subscriber| {
-        let (mut run, mut stream) =
-            warm_start_ladder(workload, run_config, Some(checkpoints), |pos| {
-                // The broadcast subscriber cannot seek: draining decoded
-                // batches is how this engine "positions" the stream (the
-                // decode is shared across the workload's cells anyway).
-                let mut stream = SourceIter::new(subscriber);
-                for _ in (&mut stream).take(pos as usize) {}
-                stream
-            });
-        run.measure(&mut stream)
-    })
+    run_sweep(jobs, &Sweep::new(workloads, config, policies).replay(store, Some(checkpoints)))
 }
 
 /// The decode-per-job replay engine: shards `(workload, policy)` jobs
@@ -584,26 +398,43 @@ pub fn replay_sweep_isolated(
     policies: &[PolicyKind],
     store: &TraceStore,
 ) -> SweepResult {
-    let paths: Vec<PathBuf> = parallel_map(workloads.len(), |i| {
-        store
-            .ensure(&workloads[i], config)
-            .unwrap_or_else(|e| panic!("capturing {}: {e}", workloads[i].spec.name))
+    let sweep = Sweep::new(workloads, config, policies);
+    let paths = sweep.capture(default_jobs(), store);
+    let cells = sweep.cells();
+    let results = parallel_map(cells.len(), |i| {
+        let (wi, run_config) = &cells[i];
+        let replay = trrip_trace::StreamingReplay::open(&paths[*wi])
+            .unwrap_or_else(|e| panic!("replaying {}: {e}", paths[*wi].display()));
+        simulate_source(&workloads[*wi], run_config, replay)
     });
+    sweep.result(results)
+}
 
-    let pairs: Vec<(usize, usize)> =
-        (0..workloads.len()).flat_map(|w| (0..policies.len()).map(move |p| (w, p))).collect();
-    let results = parallel_map(pairs.len(), |i| {
-        let (wi, pi) = pairs[i];
-        let run_config = config.clone().with_policy(policies[pi]);
-        let replay = trrip_trace::StreamingReplay::open(&paths[wi])
-            .unwrap_or_else(|e| panic!("replaying {}: {e}", paths[wi].display()));
-        simulate_source(&workloads[wi], &run_config, replay)
-    });
-
-    SweepResult {
-        results,
-        policies: policies.to_vec(),
-        benchmarks: workloads.iter().map(|w| w.spec.name.clone()).collect(),
+/// Reports a damaged on-disk artifact — a checkpoint container, chain
+/// link or result fragment that failed to load — as an
+/// `artifact_damaged` journal event and (unless `--quiet`) a stderr
+/// line: `what` was damaged, for which `subject`, with what `error`,
+/// and what the caller does `next` instead.
+pub(crate) fn artifact_damaged(
+    what: &str,
+    subject: &str,
+    error: &dyn std::fmt::Display,
+    next: &str,
+) {
+    let error = error.to_string();
+    if trrip_obs::journal_active() {
+        trrip_obs::event(
+            "artifact_damaged",
+            &[
+                ("what", trrip_obs::Field::Str(what)),
+                ("subject", trrip_obs::Field::Str(subject)),
+                ("error", trrip_obs::Field::Str(&error)),
+                ("next", trrip_obs::Field::Str(next)),
+            ],
+        );
+    }
+    if !trrip_obs::quiet() {
+        eprintln!("[trrip] damaged {what} for {subject}: {error}; {next}");
     }
 }
 
@@ -616,6 +447,7 @@ pub fn speedup_vs(baseline_cycles: f64, cycles: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::simulate;
     use trrip_core::ClassifierConfig;
     use trrip_workloads::WorkloadSpec;
 

@@ -23,19 +23,26 @@
 //!   **shared prefix** (predictor + warmup tape, one per workload) and
 //!   per-policy **overlays**, so a populating sweep records one warmup
 //!   per workload and fans it out across every policy.
-//! * [`experiment`] — parallel policy sweeps (walker-driven,
-//!   decode-once fan-out replay, the warm-started
-//!   [`replay_sweep_warm_prefix`] engine over a checkpoint store, and
-//!   the decode-per-job replay oracle) and speedup computation.
+//! * [`sweep`] — the one sweep executor: a [`Sweep`] plan (workloads,
+//!   config, policies, optional trace and checkpoint stores, shard
+//!   count) and [`run_sweep`], which picks the walker, decode-once
+//!   fan-out or segment-DAG route from what the plan has attached.
+//! * [`experiment`] — the named sweep entry points over [`run_sweep`]
+//!   ([`policy_sweep`], [`replay_sweep`], [`replay_sweep_warm_prefix`]),
+//!   the decode-per-job replay oracle, the warm-start ladder every
+//!   replay route shares, and speedup computation.
 //! * [`warmstats`] — process-wide counters of how cells reached their
 //!   warmed state (full restore / overlay compose / warmup-tail replay
 //!   / recorded or cold warmup), the observable behind fallback tests.
 //! * [`shard`] — chunk-range sharding of a single run:
 //!   [`ShardPlan`] cuts the measure window into chunk-aligned segments,
 //!   segment *k* simulates from chained checkpoint *k−1*, fragments
-//!   merge bit-identically ([`SimResult::merge`]), and
-//!   [`replay_sweep_sharded`] schedules whole sweeps as DAGs of segment
-//!   tasks.
+//!   merge bit-identically ([`SimResult::merge`]), and one segment-task
+//!   loop runs the DAG over a claim backend.
+//! * [`coordinate`] — the same segment-task loop across processes:
+//!   [`coordinate_worker`] arbitrates tasks through `O_EXCL` claim files
+//!   with heartbeats and stale-claim reclamation, and
+//!   [`collect_results`] folds the persisted result fragments.
 //! * [`inflight`] — the fixed-size open-addressed prefetch-timeliness
 //!   table behind the backend's allocation-free hot path.
 
@@ -51,6 +58,7 @@ pub mod experiment;
 pub mod inflight;
 pub mod prepare;
 pub mod shard;
+pub mod sweep;
 pub mod system;
 pub mod warmstats;
 
@@ -62,17 +70,15 @@ pub use checkpoint::{
     GcReport, SharedWarmup,
 };
 pub use config::SimConfig;
-pub use coordinate::{
-    collect_results, coordinate_worker, scan_claims, CoordError, WorkerOptions, WorkerReport,
-};
+pub use coordinate::{collect_results, coordinate_worker, CoordError, WorkerOptions, WorkerReport};
 pub use experiment::{
-    default_jobs, ensure_warm_prefixes, parallel_map, parallel_map_with, policy_sweep,
-    policy_sweep_with, replay_sweep, replay_sweep_isolated, replay_sweep_warm_prefix,
-    replay_sweep_with, speedup_vs, SweepResult,
+    default_jobs, parallel_map, parallel_map_with, policy_sweep, policy_sweep_with, replay_sweep,
+    replay_sweep_isolated, replay_sweep_warm_prefix, speedup_vs, SweepResult,
 };
 pub use inflight::InflightTable;
 pub use prepare::PreparedWorkload;
-pub use shard::{replay_sweep_sharded, simulate_sharded, ShardPlan};
+pub use shard::ShardPlan;
+pub use sweep::{run_sweep, Sweep};
 pub use system::{simulate, simulate_source, SimResult, SimRun};
 pub use warmstats::{warmup_counters, WarmupCounters};
 // The snapshot substrate, re-exported so callers can drive `SimRun`

@@ -19,30 +19,36 @@
 //!   unsharded run (`tests/shard_equivalence.rs` pins this for every
 //!   policy).
 //!
-//! [`replay_sweep_sharded`] schedules a whole sweep this way: cells
-//! stop being atomic tasks and become DAGs of segment tasks on a shared
-//! work queue. Within one cell the chain is sequential by nature — but
-//! a worker that finishes segment *k* hands the live run straight to
-//! segment *k+1* (pipelined mode, no checkpoint round-trip) while other
-//! workers advance other cells; and when a previous sweep already
-//! persisted chain links, every segment whose predecessor checkpoint is
-//! on disk is dispatched immediately, so one long run fans out across
-//! the pool. A missing or damaged chain link falls back cold: the
-//! executor rebuilds position from the fast-forward checkpoint (or a
-//! full cold warmup) and re-simulates the measure prefix.
+//! [`crate::run_sweep`] schedules a whole sweep this way when its plan
+//! has more than one segment: cells stop being atomic tasks and become
+//! DAGs of segment tasks run by one segment-task loop
+//! (`SegmentTasks::work`) over a claim backend. Within one cell the
+//! chain is sequential by nature — but a worker that finishes segment
+//! *k* keeps the live run for segment *k+1* (pipelined mode, no
+//! checkpoint round-trip) while other workers advance other cells; and
+//! when a previous sweep already persisted chain links, every segment
+//! whose predecessor checkpoint is on disk is claimable immediately, so
+//! one long run fans out across the pool. A missing or damaged chain
+//! link falls back cold: the executor rebuilds position from the
+//! fast-forward checkpoint (or a full cold warmup) and re-simulates the
+//! measure prefix.
+//!
+//! Only claim arbitration differs between the in-process sweep
+//! (`InProcessClaims`: a ready queue and a condvar) and the
+//! multi-process worker ([`crate::coordinate`]: `O_EXCL` claim files,
+//! heartbeats and fragment files).
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex};
 
-use trrip_policies::PolicyKind;
 use trrip_trace::{SourceIter, StreamingReplay, CHUNK_CAPACITY};
 
-use crate::capture::TraceStore;
 use crate::checkpoint::CheckpointStore;
 use crate::config::SimConfig;
-use crate::experiment::{parallel_map_with, SweepResult};
+use crate::experiment::{artifact_damaged, warm_start_ladder};
 use crate::prepare::PreparedWorkload;
+use crate::sweep::{Cell, Sweep};
 use crate::system::{SimResult, SimRun};
 
 /// How one `(workload, policy)` measure window is cut into segments.
@@ -168,47 +174,27 @@ pub(crate) fn position_at<'w>(
     let start = plan.start(k);
 
     // The chain link, if a previous sweep (or this one) persisted it.
-    if k > 0 {
-        if let Some(store) = checkpoints {
-            match store.load_segment(workload, config, k - 1, plan.measure_start(k)) {
-                Ok(Some(run)) => {
-                    trrip_obs::counter!("shard.disk_dispatch").incr();
-                    return (run, open_stream(trace_path, start));
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    // A damaged link would otherwise shadow its slot
-                    // forever (saves skip existing files): log it and
-                    // delete it — the cold rebuild below lands exactly
-                    // on this link's position and re-persists a good
-                    // one.
-                    if trrip_obs::journal_active() {
-                        trrip_obs::event(
-                            "artifact_damaged",
-                            &[
-                                ("what", trrip_obs::Field::Str("chain link")),
-                                ("benchmark", trrip_obs::Field::Str(&workload.spec.name)),
-                                (
-                                    "policy",
-                                    trrip_obs::Field::Str(config.hierarchy.l2_policy.name()),
-                                ),
-                                ("segment", trrip_obs::Field::U64((k - 1) as u64)),
-                                ("error", trrip_obs::Field::Str(&e.to_string())),
-                                ("next", trrip_obs::Field::Str("rebuilding cold")),
-                            ],
-                        );
-                    }
-                    if !trrip_obs::quiet() {
-                        eprintln!(
-                            "[trrip] damaged chain link for {} / {} seg {}: {e}; rebuilding cold",
-                            workload.spec.name,
-                            config.hierarchy.l2_policy,
-                            k - 1
-                        );
-                    }
-                    let path = store.segment_path(workload, config, k - 1, plan.measure_start(k));
-                    let _ = std::fs::remove_file(path);
-                }
+    if let Some(store) = checkpoints.filter(|_| k > 0) {
+        match store.load_segment(workload, config, k - 1, plan.measure_start(k)) {
+            Ok(Some(run)) => {
+                trrip_obs::counter!("shard.disk_dispatch").incr();
+                return (run, open_stream(trace_path, start));
+            }
+            Ok(None) => {}
+            Err(e) => {
+                // A damaged link would otherwise shadow its slot forever
+                // (saves skip existing files): report it and delete it —
+                // the cold rebuild below lands exactly on this link's
+                // position and re-persists a good one.
+                let subject = format!(
+                    "{} / {} seg {}",
+                    workload.spec.name,
+                    config.hierarchy.l2_policy,
+                    k - 1
+                );
+                artifact_damaged("chain link", &subject, &e, "rebuilding cold");
+                let link = store.segment_path(workload, config, k - 1, plan.measure_start(k));
+                let _ = std::fs::remove_file(link);
             }
         }
     }
@@ -221,14 +207,12 @@ pub(crate) fn position_at<'w>(
     // Cold fallback: the fast-forward boundary by the cheapest valid
     // route (whole-state checkpoint → shared prefix + overlay → prefix
     // + warmup-tail replay → cold recorded warmup; the same ladder the
-    // fan-out engine uses), then the measure prefix up to `start` is
+    // fan-out route uses), then the measure prefix up to `start` is
     // re-simulated. An indexed trace makes the restore rungs' stream
     // positioning a true seek.
     let ff = config.fast_forward;
     let (mut run, mut stream) =
-        crate::experiment::warm_start_ladder(workload, config, checkpoints, |pos| {
-            open_stream(trace_path, pos)
-        });
+        warm_start_ladder(workload, config, checkpoints, |pos| open_stream(trace_path, pos));
     run.begin_measure();
     if start > ff {
         run.measure_chunk(&mut stream, start - ff, false);
@@ -237,19 +221,23 @@ pub(crate) fn position_at<'w>(
     // carry: repair the chain in place, so a missing or damaged link is
     // healed by the segment that paid the cold rebuild instead of
     // staying cold for every later sweep.
-    if k > 0 {
-        if let Some(store) = checkpoints {
-            if let Err(e) = store.save_segment(&run, k - 1, plan.measure_start(k)) {
-                trrip_obs::progress!(
-                    "chain repair save failed for {} / {} seg {}: {e}",
-                    workload.spec.name,
-                    config.hierarchy.l2_policy,
-                    k - 1
-                );
-            }
-        }
+    if let Some(store) = checkpoints.filter(|_| k > 0) {
+        save_link(store, &run, plan, k - 1);
     }
     (run, stream)
+}
+
+/// Persists `run` as chain link `link` — segment `link`'s end state,
+/// segment `link + 1`'s start. A failed save is logged and otherwise
+/// ignored: it only costs a later sweep the cold rebuild.
+fn save_link(store: &CheckpointStore, run: &SimRun<'_>, plan: &ShardPlan, link: usize) {
+    if let Err(e) = store.save_segment(run, link, plan.measure_start(link + 1)) {
+        trrip_obs::progress!(
+            "chain link save failed for {} / {} seg {link}: {e}",
+            run.workload().spec.name,
+            run.config().hierarchy.l2_policy
+        );
+    }
 }
 
 /// A live run plus its positioned stream, handed from a finished
@@ -305,21 +293,12 @@ pub(crate) fn run_segment<'w>(
     debug_assert_eq!(cut.consumed + config.fast_forward, end, "segment cut drifted");
     let fragment = run.collect_segment();
 
-    if !last {
-        if let Some(store) = checkpoints {
-            let position = plan.measure_start(k + 1);
-            // Re-saving an existing link would write identical bytes
-            // (segments are deterministic): skip the serialization on
-            // warm sweeps.
-            if !store.has_segment(workload, config, k, position) {
-                if let Err(e) = store.save_segment(&run, k, position) {
-                    trrip_obs::progress!(
-                        "segment checkpoint save failed for {} / {} seg {k}: {e}",
-                        workload.spec.name,
-                        config.hierarchy.l2_policy
-                    );
-                }
-            }
+    if let Some(store) = checkpoints.filter(|_| !last) {
+        // Re-saving an existing link would write identical bytes
+        // (segments are deterministic): skip the serialization on warm
+        // sweeps.
+        if !store.has_segment(workload, config, k, plan.measure_start(k + 1)) {
+            save_link(store, &run, plan, k);
         }
     }
     if trrip_obs::journal_active() {
@@ -337,242 +316,200 @@ pub(crate) fn run_segment<'w>(
     (fragment, (run, stream))
 }
 
-/// Runs one `(workload, policy)` cell as a sequential segment chain —
-/// capture from `traces`, chained checkpoints in `checkpoints` if given
-/// — and merges the fragments. Bit-identical to
-/// [`crate::simulate`] / [`crate::simulate_source`] over the same
-/// capture; the parallel sweep engine is [`replay_sweep_sharded`].
-///
-/// # Panics
-///
-/// Panics if the trace cannot be captured or replayed.
-#[must_use]
-pub fn simulate_sharded(
-    workload: &PreparedWorkload,
-    config: &SimConfig,
-    plan: &ShardPlan,
-    traces: &TraceStore,
-    checkpoints: Option<&CheckpointStore>,
-) -> SimResult {
-    let path = traces
-        .ensure(workload, config)
-        .unwrap_or_else(|e| panic!("capturing {}: {e}", workload.spec.name));
-    let mut carry = None;
-    let mut merged: Option<SimResult> = None;
-    for k in 0..plan.segments() {
-        let (fragment, next) =
-            run_segment(workload, config, plan, k, carry.take(), &path, checkpoints);
-        carry = Some(next);
-        merged = Some(match merged.take() {
-            None => fragment,
-            Some(mut whole) => {
-                whole.merge(&fragment);
-                whole
-            }
-        });
+/// One sweep's segment tasks: `(cell, segment)` for every cell of the
+/// plan and every segment of its [`ShardPlan`], flat-indexed
+/// `cell * segments + segment`.
+pub(crate) struct SegmentTasks<'a> {
+    pub(crate) sweep: &'a Sweep<'a>,
+    pub(crate) cells: Vec<Cell>,
+    pub(crate) plan: ShardPlan,
+    /// Each workload's captured trace.
+    pub(crate) paths: Vec<PathBuf>,
+}
+
+/// Claim arbitration for the segment-task loop — the only part of the
+/// DAG that differs between the in-process sweep
+/// ([`InProcessClaims`]) and the multi-process worker (file claims,
+/// [`crate::coordinate`]).
+pub(crate) trait Claims {
+    /// Claims the next task to start without a live carry, blocking or
+    /// backing off while none is claimable; `None` once every task of the
+    /// sweep is done.
+    fn next(&mut self) -> Option<(usize, usize)>;
+    /// Tries to claim `(cell, segment)` for a live hand-off from the
+    /// predecessor this worker just finished.
+    fn claim_successor(&mut self, cell: usize, segment: usize) -> bool;
+    /// Publishes a finished task's fragment and releases its claim.
+    fn publish(&mut self, cell: usize, segment: usize, fragment: SimResult);
+}
+
+impl SegmentTasks<'_> {
+    /// Whether segment `seg` of `cell` can start from a chain link a
+    /// previous sweep (or worker) persisted.
+    pub(crate) fn has_link(&self, cell: usize, seg: usize) -> bool {
+        let (wi, config) = &self.cells[cell];
+        self.sweep.checkpoints.is_some_and(|store| {
+            store.has_segment(
+                &self.sweep.workloads[*wi],
+                config,
+                seg - 1,
+                self.plan.measure_start(seg),
+            )
+        })
     }
-    merged.expect("a plan always has at least one segment")
+
+    /// The segment-task loop: claims a task, runs it
+    /// ([`run_segment`]: live carry → chained checkpoint → cold
+    /// fallback), publishes its fragment, and keeps the live run for the
+    /// cell's next segment whenever that one can be claimed — the
+    /// pipelined hand-off that skips the checkpoint round-trip. Returns
+    /// when `claims` reports every task done.
+    pub(crate) fn work(&self, claims: &mut impl Claims) {
+        let segments = self.plan.segments();
+        while let Some((cell, mut seg)) = claims.next() {
+            let (wi, config) = &self.cells[cell];
+            let mut carry = None;
+            loop {
+                let (fragment, next) = run_segment(
+                    &self.sweep.workloads[*wi],
+                    config,
+                    &self.plan,
+                    seg,
+                    carry.take(),
+                    &self.paths[*wi],
+                    self.sweep.checkpoints,
+                );
+                claims.publish(cell, seg, fragment);
+                seg += 1;
+                if seg == segments || !claims.claim_successor(cell, seg) {
+                    break;
+                }
+                carry = Some(next);
+            }
+        }
+    }
 }
 
-/// One segment task on the shard scheduler's queue. `carry` is the live
-/// predecessor run + positioned stream (pipelined hand-off); tasks
-/// dispatched from persisted chain links carry `None` and load their
-/// checkpoint.
-struct Task<'w> {
-    cell: usize,
-    segment: usize,
-    carry: Option<Carry<'w>>,
+/// The in-process claim backend: a ready queue of task indices behind a
+/// condvar. Segment 0 of every cell is ready at once, as is every
+/// segment whose chain link a previous sweep persisted (so a warm chain
+/// fans one cell across the pool); any other segment is claimed by the
+/// worker that finishes its predecessor.
+pub(crate) struct InProcessClaims {
+    queue: Mutex<Queue>,
+    ready_cv: Condvar,
+    segments: usize,
 }
 
-struct Sched<'w> {
-    ready: VecDeque<Task<'w>>,
-    /// Fragments by `cell * segments + segment`.
-    fragments: Vec<Option<SimResult>>,
-    /// Whether a task was already queued (or ran) for each slot.
+struct Queue {
+    ready: VecDeque<usize>,
+    /// Whether each task was already queued or claimed.
     dispatched: Vec<bool>,
+    fragments: Vec<Option<SimResult>>,
     remaining: usize,
     /// Set when a worker panics, so blocked workers exit instead of
-    /// waiting forever for successors that will never be enqueued.
+    /// waiting forever for tasks that will never finish.
     poisoned: bool,
 }
 
-/// Sweeps `workloads × policies` with every run sharded into
-/// `shards` chunk-aligned segments (see [`ShardPlan`]) on one shared
-/// work queue of segment tasks:
-///
-/// * segment *k* of a cell becomes ready when checkpoint *k−1* exists —
-///   at dispatch time from a previous sweep's persisted chain, or the
-///   moment this sweep's segment *k−1* finishes (the finishing worker
-///   hands the live run over, skipping the checkpoint round-trip);
-/// * non-final segments persist their end state through
-///   [`CheckpointStore::save_segment`], so the *next* sweep dispatches
-///   every segment immediately and a single long cell spreads across
-///   the whole pool;
-/// * a missing or damaged chain link falls back cold (fast-forward
-///   checkpoint or full warmup + re-simulated prefix) — the sweep
-///   degrades in speed, never in results.
-///
-/// Results are bit-identical to [`crate::replay_sweep`] /
-/// [`crate::policy_sweep`] regardless of scheduling: fragments are
-/// deterministic and [`SimResult::merge`] folds them in chain order.
-///
-/// # Panics
-///
-/// Panics if a trace cannot be captured or replayed.
-#[must_use]
-pub fn replay_sweep_sharded(
-    jobs: usize,
-    workloads: &[PreparedWorkload],
-    config: &SimConfig,
-    policies: &[PolicyKind],
-    traces: &TraceStore,
-    checkpoints: &CheckpointStore,
-    shards: usize,
-) -> SweepResult {
-    let plan = ShardPlan::new(config, shards);
-    let k = plan.segments();
-
-    let paths: Vec<PathBuf> = parallel_map_with(jobs, workloads.len(), |i| {
-        traces
-            .ensure(&workloads[i], config)
-            .unwrap_or_else(|e| panic!("capturing {}: {e}", workloads[i].spec.name))
-    });
-
-    let cells: Vec<(usize, SimConfig)> = (0..workloads.len())
-        .flat_map(|w| policies.iter().map(move |&p| (w, config.clone().with_policy(p))))
-        .collect();
-
-    let mut sched = Sched {
-        ready: VecDeque::new(),
-        fragments: (0..cells.len() * k).map(|_| None).collect(),
-        dispatched: vec![false; cells.len() * k],
-        remaining: cells.len() * k,
-        poisoned: false,
-    };
-    for (cell, (wi, cell_config)) in cells.iter().enumerate() {
-        sched.dispatched[cell * k] = true;
-        sched.ready.push_back(Task { cell, segment: 0, carry: None });
-        for seg in 1..k {
-            // Warm chains fan a single cell across the pool: any segment
-            // whose predecessor link is already on disk starts now.
-            if checkpoints.has_segment(
-                &workloads[*wi],
-                cell_config,
-                seg - 1,
-                plan.measure_start(seg),
-            ) {
-                sched.dispatched[cell * k + seg] = true;
-                sched.ready.push_back(Task { cell, segment: seg, carry: None });
+impl InProcessClaims {
+    /// Runs every task of `tasks` on up to `jobs` workers and returns
+    /// the fragments in task order.
+    pub(crate) fn run(jobs: usize, tasks: &SegmentTasks<'_>) -> Vec<SimResult> {
+        let segments = tasks.plan.segments();
+        let total = tasks.cells.len() * segments;
+        let mut queue = Queue {
+            ready: VecDeque::new(),
+            dispatched: vec![false; total],
+            fragments: (0..total).map(|_| None).collect(),
+            remaining: total,
+            poisoned: false,
+        };
+        for task in 0..total {
+            let (cell, seg) = (task / segments, task % segments);
+            if seg == 0 || tasks.has_link(cell, seg) {
+                queue.dispatched[task] = true;
+                queue.ready.push_back(task);
             }
         }
-    }
+        let claims =
+            InProcessClaims { queue: Mutex::new(queue), ready_cv: Condvar::new(), segments };
 
-    let sched = Mutex::new(sched);
-    let ready_cv = Condvar::new();
-    let workers = jobs.max(1).min(cells.len() * k);
-
-    /// Marks the scheduler poisoned if the holding worker unwinds, so
-    /// the rest of the pool exits instead of deadlocking.
-    struct PoisonGuard<'a, 'w> {
-        sched: &'a Mutex<Sched<'w>>,
-        cv: &'a Condvar,
-    }
-    impl Drop for PoisonGuard<'_, '_> {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                if let Ok(mut s) = self.sched.lock() {
-                    s.poisoned = true;
-                }
-                self.cv.notify_all();
-            }
-        }
-    }
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let _guard = PoisonGuard { sched: &sched, cv: &ready_cv };
-                loop {
-                    let (task, depth) = {
-                        let mut s = sched.lock().expect("scheduler lock");
-                        loop {
-                            if s.poisoned || s.remaining == 0 {
-                                return;
-                            }
-                            if let Some(task) = s.ready.pop_front() {
-                                break (task, s.ready.len());
-                            }
-                            // Idle time shows up as `scheduler_idle`
-                            // spans: one per wakeless wait, attributed
-                            // to the waiting worker's thread lane.
-                            let idle = trrip_obs::span!("scheduler_idle");
-                            s = ready_cv.wait(s).expect("scheduler lock");
-                            drop(idle);
-                        }
-                    };
-                    if trrip_obs::journal_active() {
-                        trrip_obs::event(
-                            "shard_task",
-                            &[
-                                ("cell", trrip_obs::Field::U64(task.cell as u64)),
-                                ("segment", trrip_obs::Field::U64(task.segment as u64)),
-                                ("queue_depth", trrip_obs::Field::U64(depth as u64)),
-                            ],
-                        );
+        /// Marks the queue poisoned if the holding worker unwinds, so the
+        /// rest of the pool exits instead of deadlocking.
+        struct PoisonGuard<'a>(&'a InProcessClaims);
+        impl Drop for PoisonGuard<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    if let Ok(mut queue) = self.0.queue.lock() {
+                        queue.poisoned = true;
                     }
+                    self.0.ready_cv.notify_all();
+                }
+            }
+        }
 
-                    let (wi, cell_config) = &cells[task.cell];
-                    let (fragment, carry) = run_segment(
-                        &workloads[*wi],
-                        cell_config,
-                        &plan,
-                        task.segment,
-                        task.carry,
-                        &paths[*wi],
-                        Some(checkpoints),
+        std::thread::scope(|scope| {
+            for _ in 0..jobs.max(1).min(total) {
+                scope.spawn(|| {
+                    let _guard = PoisonGuard(&claims);
+                    tasks.work(&mut &claims);
+                });
+            }
+        });
+        let queue = claims.queue.into_inner().expect("claims lock");
+        queue.fragments.into_iter().map(|f| f.expect("fragment collected")).collect()
+    }
+}
+
+impl Claims for &InProcessClaims {
+    fn next(&mut self) -> Option<(usize, usize)> {
+        let mut queue = self.queue.lock().expect("claims lock");
+        loop {
+            if queue.poisoned || queue.remaining == 0 {
+                return None;
+            }
+            if let Some(task) = queue.ready.pop_front() {
+                let (cell, seg) = (task / self.segments, task % self.segments);
+                if trrip_obs::journal_active() {
+                    trrip_obs::event(
+                        "shard_task",
+                        &[
+                            ("cell", trrip_obs::Field::U64(cell as u64)),
+                            ("segment", trrip_obs::Field::U64(seg as u64)),
+                            ("queue_depth", trrip_obs::Field::U64(queue.ready.len() as u64)),
+                        ],
                     );
-
-                    let mut s = sched.lock().expect("scheduler lock");
-                    s.fragments[task.cell * k + task.segment] = Some(fragment);
-                    s.remaining -= 1;
-                    let succ = task.cell * k + task.segment + 1;
-                    if task.segment + 1 < k && !s.dispatched[succ] {
-                        s.dispatched[succ] = true;
-                        s.ready.push_back(Task {
-                            cell: task.cell,
-                            segment: task.segment + 1,
-                            carry: Some(carry),
-                        });
-                    }
-                    drop(s);
-                    ready_cv.notify_all();
                 }
-            });
-        }
-    });
-
-    let fragments = sched.into_inner().expect("scheduler lock").fragments;
-    let mut fragments = fragments.into_iter();
-    let results: Vec<SimResult> = (0..cells.len())
-        .map(|_| {
-            let mut whole = fragments.next().flatten().expect("fragment collected");
-            for _ in 1..k {
-                whole.merge(&fragments.next().flatten().expect("fragment collected"));
+                return Some((cell, seg));
             }
-            whole
-        })
-        .collect();
+            // Idle time shows up as `scheduler_idle` spans: one per
+            // wakeless wait, attributed to the waiting worker's lane.
+            let idle = trrip_obs::span!("scheduler_idle");
+            queue = self.ready_cv.wait(queue).expect("claims lock");
+            drop(idle);
+        }
+    }
 
-    SweepResult {
-        results,
-        policies: policies.to_vec(),
-        benchmarks: workloads.iter().map(|w| w.spec.name.clone()).collect(),
+    fn claim_successor(&mut self, cell: usize, segment: usize) -> bool {
+        let mut queue = self.queue.lock().expect("claims lock");
+        let task = cell * self.segments + segment;
+        !std::mem::replace(&mut queue.dispatched[task], true)
+    }
+
+    fn publish(&mut self, cell: usize, segment: usize, fragment: SimResult) {
+        let mut queue = self.queue.lock().expect("claims lock");
+        queue.fragments[cell * self.segments + segment] = Some(fragment);
+        queue.remaining -= 1;
+        drop(queue);
+        self.ready_cv.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trrip_policies::PolicyKind;
 
     fn plan_for(ff: u64, n: u64, shards: usize) -> ShardPlan {
         let mut config = SimConfig::quick(PolicyKind::Srrip);

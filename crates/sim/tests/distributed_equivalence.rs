@@ -20,8 +20,8 @@ use std::time::Duration;
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    collect_results, coordinate_worker, replay_sweep_sharded, CheckpointStore, PreparedWorkload,
-    SimConfig, SimResult, TraceStore, WorkerOptions,
+    collect_results, coordinate_worker, run_sweep, CheckpointStore, PreparedWorkload, SimConfig,
+    SimResult, Sweep, TraceStore, WorkerOptions,
 };
 use trrip_workloads::WorkloadSpec;
 
@@ -166,7 +166,9 @@ fn baseline_sweep(
     let traces = TraceStore::new(root.join("traces"));
     let checkpoints = CheckpointStore::new(root.join("ckpts-baseline"));
     let workloads = [w.clone()];
-    replay_sweep_sharded(2, &workloads, config, policies, &traces, &checkpoints, SHARDS).results
+    let sweep =
+        Sweep::new(&workloads, config, policies).replay(&traces, Some(&checkpoints)).shards(SHARDS);
+    run_sweep(2, &sweep).results
 }
 
 /// The tentpole acceptance: a worker is SIGKILLed the moment it

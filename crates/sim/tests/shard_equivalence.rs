@@ -10,8 +10,8 @@ use proptest::prelude::*;
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    replay_sweep_sharded, simulate, simulate_sharded, CheckpointStore, PreparedWorkload, ShardPlan,
-    SimConfig, SimResult, SimRun, TraceStore,
+    run_sweep, simulate, CheckpointStore, PreparedWorkload, ShardPlan, SimConfig, SimResult,
+    SimRun, Sweep, TraceStore,
 };
 use trrip_trace::SourceIter;
 use trrip_workloads::{InputSet, TraceGenerator, WorkloadSpec};
@@ -60,6 +60,21 @@ fn assert_identical(a: &SimResult, b: &SimResult, what: &str) {
     assert_eq!(a.slc, b.slc, "{what}: SLC stats diverge");
     assert_eq!(a.tlb, b.tlb, "{what}: TLB stats diverge");
     assert_eq!(a.pages, b.pages, "{what}: page stats diverge");
+}
+
+/// One cell run through the executor as a 1-cell segmented plan.
+fn simulate_sharded(
+    w: &PreparedWorkload,
+    config: &SimConfig,
+    plan: &ShardPlan,
+    traces: &TraceStore,
+    checkpoints: Option<&CheckpointStore>,
+) -> SimResult {
+    let policies = [config.hierarchy.l2_policy];
+    let sweep = Sweep::new(std::slice::from_ref(w), config, &policies)
+        .replay(traces, checkpoints)
+        .shards(plan.segments());
+    run_sweep(1, &sweep).results.remove(0)
 }
 
 /// The acceptance bar: for all 10 policies, a 3-segment sharded run —
@@ -139,8 +154,14 @@ fn sharded_sweep_matches_other_engines_and_survives_missing_links() {
     let ckpts = CheckpointStore::new(&ckpt_dir);
 
     let walked = trrip_sim::policy_sweep(&workloads, &config, &policies);
-    let cold = replay_sweep_sharded(4, &workloads, &config, &policies, &traces, &ckpts, 3);
-    let warm = replay_sweep_sharded(4, &workloads, &config, &policies, &traces, &ckpts, 3);
+    let cold = run_sweep(
+        4,
+        &Sweep::new(&workloads, &config, &policies).replay(&traces, Some(&ckpts)).shards(3),
+    );
+    let warm = run_sweep(
+        4,
+        &Sweep::new(&workloads, &config, &policies).replay(&traces, Some(&ckpts)).shards(3),
+    );
 
     for ((a, b), c) in walked.results.iter().zip(&cold.results).zip(&warm.results) {
         assert_identical(a, b, "cold sharded sweep");
@@ -160,7 +181,10 @@ fn sharded_sweep_matches_other_engines_and_survives_missing_links() {
         ckpts.overlay_path(&workloads[0], &config.clone().with_policy(PolicyKind::Random));
     std::fs::remove_file(&overlay).expect("overlay existed");
 
-    let patched = replay_sweep_sharded(4, &workloads, &config, &policies, &traces, &ckpts, 3);
+    let patched = run_sweep(
+        4,
+        &Sweep::new(&workloads, &config, &policies).replay(&traces, Some(&ckpts)).shards(3),
+    );
     for (a, b) in walked.results.iter().zip(&patched.results) {
         assert_identical(a, b, "sharded sweep with missing chain links");
     }

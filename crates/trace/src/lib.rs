@@ -8,7 +8,7 @@
 //! from disk for every policy, machine configuration, or future session
 //! — and import foreign traces that were never synthesized here at all.
 //!
-//! * [`format`] — the compact varint-delta on-disk encoding (~2.4 bytes
+//! * [`mod@format`] — the compact varint-delta on-disk encoding (~2.4 bytes
 //!   per instruction on walker output vs 34 in memory).
 //! * [`TraceWriter`] — streaming writer; fixed-size chunks, a versioned
 //!   header with workload metadata, instruction count and checksum
