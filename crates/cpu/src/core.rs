@@ -25,9 +25,10 @@
 //! table; later requests for those lines carry `caused_starvation`, which
 //! the Emissary policy turns into per-line priority bits.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
+use trrip_mem::VpnSet;
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::backend::MemoryBackend;
@@ -193,14 +194,15 @@ impl CoreResult {
 /// (the model of Emissary's L1-side metadata).
 #[derive(Debug, Default)]
 struct StarvedLines {
-    set: HashSet<u64>,
+    /// Index over `order`, probed on every fetch-line change.
+    set: VpnSet,
     order: VecDeque<u64>,
     capacity: usize,
 }
 
 impl StarvedLines {
     fn new(capacity: usize) -> StarvedLines {
-        StarvedLines { set: HashSet::new(), order: VecDeque::new(), capacity }
+        StarvedLines { set: VpnSet::default(), order: VecDeque::new(), capacity }
     }
 
     fn contains(&self, line: u64) -> bool {

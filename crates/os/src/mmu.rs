@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 use trrip_core::{Temperature, TemperatureBits};
-use trrip_mem::{PageSize, PhysAddr, VirtAddr};
+use trrip_mem::{PageSize, PhysAddr, VirtAddr, VpnMap};
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::page_table::{PageTable, PageTableEntry};
@@ -50,33 +50,6 @@ struct TlbEntry {
     pbha: TemperatureBits,
 }
 
-/// Multiply-xor hasher for VPN keys: the default SipHash costs about as
-/// much as the 64-entry scan the index replaced, defeating the point on
-/// the translate hot path.
-#[derive(Debug, Clone, Default)]
-struct VpnHash(u64);
-
-impl std::hash::Hasher for VpnHash {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Fallback for non-u64 writes (not used by u64 keys).
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        let mut h = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 32;
-        self.0 = h;
-    }
-}
-
-type VpnMap = std::collections::HashMap<u64, usize, std::hash::BuildHasherDefault<VpnHash>>;
-
 /// The MMU: page table + TLB + demand allocation.
 #[derive(Debug, Clone)]
 pub struct Mmu {
@@ -87,7 +60,7 @@ pub struct Mmu {
     /// memory operand, and prefetch translates). The architectural state
     /// (entries, stamps, victim choice, statistics) is byte-identical
     /// with or without it, and snapshots rebuild it on restore.
-    tlb_index: VpnMap,
+    tlb_index: VpnMap<usize>,
     clock: u64,
     stats: TlbStats,
     next_anon_frame: u64,

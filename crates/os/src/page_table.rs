@@ -1,10 +1,8 @@
 //! Page tables with implementation-defined temperature bits.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 use trrip_core::TemperatureBits;
-use trrip_mem::{PageSize, PhysAddr, VirtAddr};
+use trrip_mem::{PageSize, PhysAddr, VirtAddr, VpnMap};
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 /// One page-table entry. Besides the frame and permissions, it carries
@@ -43,14 +41,15 @@ pub struct PageTableEntry {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PageTable {
     page_size: PageSize,
-    entries: HashMap<u64, PageTableEntry>,
+    /// Hashed with [`VpnHash`](trrip_mem::VpnHash): probed on every TLB miss.
+    entries: VpnMap<PageTableEntry>,
 }
 
 impl PageTable {
     /// An empty table for the given page size.
     #[must_use]
     pub fn new(page_size: PageSize) -> PageTable {
-        PageTable { page_size, entries: HashMap::new() }
+        PageTable { page_size, entries: VpnMap::default() }
     }
 
     /// The configured page size.

@@ -230,6 +230,23 @@ fn hash4(bytes: &[u8]) -> usize {
 /// Returns the number of matches that reached back into the dictionary,
 /// or `None` once the encoding reaches `budget`.
 fn try_lz(input: &[u8], dict: &[u8], budget: usize, out: &mut Vec<u8>) -> Option<u64> {
+    lz_parse(input, dict, budget, out, longest_match)
+}
+
+/// The greedy parse behind [`try_lz`], over the match finder `longest`:
+/// `longest(buf, i, candidate, prev)` walks the hash chain from
+/// `candidate` and returns `(len, pos)` of the first longest match for
+/// `buf[i..]` (`len` 0 when none).
+fn lz_parse<F>(
+    input: &[u8],
+    dict: &[u8],
+    budget: usize,
+    out: &mut Vec<u8>,
+    longest: F,
+) -> Option<u64>
+where
+    F: Fn(&[u8], usize, u32, &[u32]) -> (usize, usize),
+{
     out.clear();
     if input.len() < MIN_MATCH {
         return None;
@@ -257,30 +274,7 @@ fn try_lz(input: &[u8], dict: &[u8], budget: usize, out: &mut Vec<u8>) -> Option
     let mut lit_start = base;
     while i + MIN_MATCH <= end {
         let h = hash4(&buf[i..]);
-        let mut candidate = head[h];
-        let mut best_len = 0usize;
-        let mut best_pos = 0usize;
-        let mut depth = 0;
-        while candidate != u32::MAX && depth < MAX_CHAIN {
-            let c = candidate as usize;
-            if i - c > LZ_WINDOW {
-                break; // chains are newest-first; the rest is older still
-            }
-            let limit = end - i;
-            let mut len = 0;
-            while len < limit && buf[c + len] == buf[i + len] {
-                len += 1;
-            }
-            if len > best_len {
-                best_len = len;
-                best_pos = c;
-                if len >= 512 {
-                    break; // long enough; stop searching
-                }
-            }
-            candidate = prev[c];
-            depth += 1;
-        }
+        let (best_len, best_pos) = longest(buf, i, head[h], &prev);
         if best_len >= MIN_MATCH {
             push_varint(out, (i - lit_start) as u64);
             out.extend_from_slice(&buf[lit_start..i]);
@@ -315,6 +309,57 @@ fn try_lz(input: &[u8], dict: &[u8], budget: usize, out: &mut Vec<u8>) -> Option
         return None;
     }
     Some(dict_hits)
+}
+
+/// The match finder of [`try_lz`]: walks at most [`MAX_CHAIN`] links of
+/// the newest-first hash chain from `candidate` within [`LZ_WINDOW`] and
+/// returns `(len, pos)` of the first longest match for `buf[i..]`,
+/// stopping early at 512 bytes. Only a candidate that also matches at
+/// the best length so far can beat it, so one byte compare skips the
+/// others; the survivors are measured 8 bytes at a time.
+fn longest_match(buf: &[u8], i: usize, mut candidate: u32, prev: &[u32]) -> (usize, usize) {
+    let limit = buf.len() - i;
+    let (mut best_len, mut best_pos) = (0, 0);
+    let mut depth = 0;
+    while candidate != u32::MAX && depth < MAX_CHAIN {
+        let c = candidate as usize;
+        if i - c > LZ_WINDOW {
+            break; // chains are newest-first; the rest is older still
+        }
+        if best_len < limit && buf[c + best_len] == buf[i + best_len] {
+            let len = common_prefix(buf, c, i, limit);
+            if len > best_len {
+                best_len = len;
+                best_pos = c;
+                if len >= 512 {
+                    break; // long enough; stop searching
+                }
+            }
+        }
+        candidate = prev[c];
+        depth += 1;
+    }
+    (best_len, best_pos)
+}
+
+/// Length of the common prefix of `buf[a..]` and `buf[b..]`, capped at
+/// `limit` (both ranges must hold `limit` bytes), compared a word at a
+/// time: the first differing byte of a little-endian word pair is its
+/// lowest non-zero XOR byte.
+fn common_prefix(buf: &[u8], a: usize, b: usize, limit: usize) -> usize {
+    let word = |at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes"));
+    let mut len = 0;
+    while len + 8 <= limit {
+        let diff = word(a + len) ^ word(b + len);
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    while len < limit && buf[a + len] == buf[b + len] {
+        len += 1;
+    }
+    len
 }
 
 fn lz_decompress(
@@ -533,6 +578,116 @@ pub fn placement_dictionary(words: &[u64], cap: usize) -> Vec<u8> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The byte-at-a-time match finder [`longest_match`] replaced, kept
+    /// as the oracle its parse must reproduce exactly.
+    fn longest_match_reference(
+        buf: &[u8],
+        i: usize,
+        mut candidate: u32,
+        prev: &[u32],
+    ) -> (usize, usize) {
+        let end = buf.len();
+        let mut best_len = 0usize;
+        let mut best_pos = 0usize;
+        let mut depth = 0;
+        while candidate != u32::MAX && depth < MAX_CHAIN {
+            let c = candidate as usize;
+            if i - c > LZ_WINDOW {
+                break;
+            }
+            let limit = end - i;
+            let mut len = 0;
+            while len < limit && buf[c + len] == buf[i + len] {
+                len += 1;
+            }
+            if len > best_len {
+                best_len = len;
+                best_pos = c;
+                if len >= 512 {
+                    break;
+                }
+            }
+            candidate = prev[c];
+            depth += 1;
+        }
+        (best_len, best_pos)
+    }
+
+    /// A deterministic xorshift byte stream.
+    fn noise(seed: u64, len: usize, alphabet: u8) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x % u64::from(alphabet)) as u8
+            })
+            .collect()
+    }
+
+    /// Bytes shaped like an encoded trace: varint-delta records of loop
+    /// bodies replayed with occasional divergent iterations.
+    fn trace_shaped(seed: u64, len: usize) -> Vec<u8> {
+        let jitter = noise(seed, len, 255);
+        let mut out = Vec::with_capacity(len);
+        let mut pc = 0x40_0000u64;
+        let (mut k, mut it) = (0usize, 0u64);
+        while out.len() < len {
+            let body = 5 + (it % 7) as usize;
+            for step in 0..body {
+                pc = pc.wrapping_add(4);
+                out.push((step as u8) << 2 | 0x1);
+                push_varint(&mut out, pc & 0xFFF);
+                if jitter[k % len] < 24 {
+                    push_varint(&mut out, u64::from(jitter[(k + 1) % len]) << 6);
+                }
+                k += 2;
+            }
+            if jitter[k % len] < 200 {
+                pc = pc.wrapping_sub(4 * body as u64); // loop back
+            }
+            it += 1;
+        }
+        out.truncate(len);
+        out
+    }
+
+    #[test]
+    fn word_matcher_parses_exactly_like_the_byte_matcher() {
+        let mut inputs: Vec<Vec<u8>> = Vec::new();
+        for seed in 1..6u64 {
+            for &len in &[3usize, 4, 9, 100, 4099, BLOCK_LEN] {
+                inputs.push(noise(seed, len, 255));
+                inputs.push(noise(seed, len, 3)); // dense, long matches
+                inputs.push(trace_shaped(seed, len));
+            }
+        }
+        // One run: the 512-byte early stop.
+        inputs.push(vec![0x5A; 3000]);
+        // The newest candidate matches 300 bytes, an older one 700: the
+        // search must walk past a long match to the longest one.
+        let (a, junk) = (noise(9, 700, 255), noise(10, 50, 255));
+        inputs.push([&a[..], &junk, &a[..300], &junk, &a].concat());
+        let mut matches = 0u64;
+        for (n, input) in inputs.iter().enumerate() {
+            let dicts =
+                [Vec::new(), trace_shaped(n as u64 + 100, 2048), input[input.len() / 2..].to_vec()];
+            for dict in &dicts {
+                for budget in [usize::MAX, input.len() / 3 + 1] {
+                    let (mut want, mut got) = (Vec::new(), Vec::new());
+                    let expected =
+                        lz_parse(input, dict, budget, &mut want, longest_match_reference);
+                    let actual = try_lz(input, dict, budget, &mut got);
+                    assert_eq!(actual, expected, "input {n} ({} bytes)", input.len());
+                    assert_eq!(got, want, "input {n} ({} bytes)", input.len());
+                    matches += expected.unwrap_or(0);
+                }
+            }
+        }
+        assert!(matches > 0, "the dictionaries must be reached into");
+    }
 
     fn round_trip(input: &[u8], dict: &[u8]) -> Codec {
         let mut comp = Vec::new();

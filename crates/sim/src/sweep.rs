@@ -221,7 +221,6 @@ fn fanout(jobs: usize, sweep: &Sweep<'_>, cells: &[Cell], paths: &[PathBuf]) -> 
     let wave = (jobs / policies).max(1);
     let options = FanoutOptions {
         decode_workers: (jobs / wave).clamp(1, FanoutOptions::default().decode_workers.max(1)),
-        ..FanoutOptions::default()
     };
     let per_workload: Vec<Vec<SimResult>> = parallel_map_with(wave, sweep.workloads.len(), |wi| {
         let (workload, path) = (&sweep.workloads[wi], &paths[wi]);

@@ -6,12 +6,12 @@
 //! still pay disk I/O + varint decode N times. This module pays it once:
 //!
 //! ```text
-//!                        ┌─ decode worker ─┐
-//!  io thread ── chunks ──┤─ decode worker ─┤── reorder ──┬─► subscriber 0
-//!  (read + checksum)     └─ decode worker ─┘  broadcast  ├─► subscriber 1
-//!        ▲                        │                      └─► subscriber N-1
-//!        └──── payload recycling ─┘        (Arc<[TraceInstr]> batches over
-//!                                           bounded channels)
+//!                        ┌─ decode worker ─┐  sub-batches  ┌─► subscriber 0   ─► SourceIter
+//!  io thread ── chunks ──┤─ decode worker ─┤── reorder ────┼─► subscriber 1   ─► SourceIter
+//!  (read + checksum)     └─ decode worker ─┘   broadcast   └─► subscriber N-1 ─► SourceIter
+//!        ▲                        │
+//!        └──── payload recycling ─┘   (each sub-batch: one shared Arc<[TraceInstr]> of
+//!                                      SUB_BATCH records, lent and read in place)
 //! ```
 //!
 //! * The **io thread** owns the file: it reads raw chunk bytes (framing
@@ -20,12 +20,19 @@
 //!   buffers return through a recycle channel, so steady-state I/O
 //!   allocates nothing.
 //! * **Decode workers** exploit the format's chunk independence (delta
-//!   state resets at every chunk boundary) to decode out of order, each
-//!   producing a shared `Arc<[TraceInstr]>` batch.
+//!   state resets at every chunk boundary) to decode out of order, and
+//!   cut each decoded chunk into shared `Arc<[TraceInstr]>` sub-batches
+//!   of [`SUB_BATCH`] records — small enough to stay in a core's L2
+//!   while a subscriber simulates it.
 //! * The **broadcast thread** restores chunk order by sequence number
-//!   and clones each `Arc` batch to every live subscriber over a bounded
-//!   channel — a clone is a refcount bump, so consumer count does not
-//!   multiply decode work (verified by [`crate::stats::records_decoded`]).
+//!   and clones each sub-batch, in order, to every live subscriber over
+//!   a bounded channel of [`SUBSCRIBER_BUFFER`] records — a clone is a
+//!   refcount bump, so consumer count does not multiply decode work
+//!   (verified by [`crate::stats::records_decoded`]).
+//! * A **subscriber** lends each sub-batch to its reader
+//!   ([`TraceSource::lend_batch`]): a [`crate::SourceIter`] serves its
+//!   slices straight out of the shared batch, so every consumer reads
+//!   the one decoded copy in place and none copies it.
 //!
 //! A subscriber that drops early (a simulator that has consumed its
 //! `take(n)` budget) is simply unsubscribed; the stream keeps flowing to
@@ -47,11 +54,26 @@ use crate::format::{TraceError, TraceMeta};
 use crate::reader::{self, decode_chunk};
 use crate::source::TraceSource;
 
-/// A decoded chunk shared by every subscriber.
+/// Records per sub-batch: decode workers cut every decoded chunk into
+/// shared batches of this many records (the last one of a chunk may be
+/// shorter). 4096 records of 48 bytes are 192 KiB, a batch that stays
+/// in a core's L2 while the subscriber simulating it reads it in place.
+pub const SUB_BATCH: usize = 4096;
+
+/// Records each subscriber channel may buffer ahead of its reader:
+/// eight sub-batches. A reader that lags holds at most this many records
+/// of not-yet-read batches alive, however large a trace chunk is.
+pub const SUBSCRIBER_BUFFER: usize = 8 * SUB_BATCH;
+
+/// A decoded sub-batch shared by every subscriber.
 type Batch = Arc<[TraceInstr]>;
 /// What a subscriber channel carries: a batch, or the error that ended
 /// the stream (shared, because every subscriber must see it).
 type Delivery = Result<Batch, Arc<TraceError>>;
+/// A decode worker's output (a chunk's sub-batches in order, or the
+/// error that ends the stream), tagged with the chunk sequence number
+/// so the broadcaster can restore file order.
+type Decoded = (u64, Result<Vec<Batch>, Arc<TraceError>>);
 
 /// Tuning knobs for [`FanoutReplay`].
 #[derive(Debug, Clone, Copy)]
@@ -60,17 +82,12 @@ pub struct FanoutOptions {
     /// available parallelism, capped at 8 — decode saturates well before
     /// that on real traces.
     pub decode_workers: usize,
-    /// Decoded batches each subscriber channel may buffer. Keeps peak
-    /// memory at roughly `depth × consumers` `Arc` clones of at most
-    /// `depth + in-flight` distinct chunks.
-    pub channel_depth: usize,
 }
 
 impl Default for FanoutOptions {
     fn default() -> FanoutOptions {
         FanoutOptions {
             decode_workers: std::thread::available_parallelism().map_or(1, usize::from).min(8),
-            channel_depth: 4,
         }
     }
 }
@@ -80,13 +97,6 @@ struct RawChunk {
     seq: u64,
     record_count: u32,
     payload: Vec<u8>,
-}
-
-/// A decode worker's output, tagged with the chunk sequence number so
-/// the broadcaster can restore file order.
-enum Decoded {
-    Batch(u64, Batch),
-    Fail(u64, Arc<TraceError>),
 }
 
 /// State shared by every subscriber of one fan-out: trace metadata, the
@@ -149,7 +159,6 @@ impl FanoutReplay {
         let mut source = reader::open(path)?;
         let meta = source.meta().clone();
         let workers = options.decode_workers.max(1);
-        let depth = options.channel_depth.max(1);
 
         // Bounded stage-to-stage channels keep memory flat however long
         // the trace is; the recycle channel is unbounded but naturally
@@ -184,7 +193,7 @@ impl FanoutReplay {
         let mut outlets = Vec::with_capacity(consumers);
         let mut inlets = Vec::with_capacity(consumers);
         for _ in 0..consumers {
-            let (tx, rx) = mpsc::sync_channel::<Delivery>(depth);
+            let (tx, rx) = mpsc::sync_channel::<Delivery>(SUBSCRIBER_BUFFER / SUB_BATCH);
             outlets.push(Some(tx));
             inlets.push(rx);
         }
@@ -231,68 +240,67 @@ fn io_loop<R: std::io::Read>(
                 // Tag the failure with the next sequence number so the
                 // broadcaster delivers every chunk before it, exactly
                 // like a sequential reader would.
-                let _ = results.send(Decoded::Fail(seq, Arc::new(e)));
+                let _ = results.send((seq, Err(Arc::new(e))));
                 return;
             }
         }
     }
 }
 
-/// Decodes chunks from the shared work queue, out of order.
+/// Decodes chunks from the shared work queue, out of order, and cuts
+/// each into [`SUB_BATCH`]-record shared batches.
 fn worker_loop(
     work: &Mutex<Receiver<RawChunk>>,
     results: &SyncSender<Decoded>,
     recycle: &Sender<Vec<u8>>,
 ) {
+    let mut decoded = Vec::new();
     loop {
         let received = work.lock().expect("fanout work queue").recv();
         let Ok(RawChunk { seq, record_count, payload }) = received else {
             return; // io thread finished and the queue drained
         };
-        let mut batch = Vec::with_capacity(record_count as usize);
+        decoded.clear();
         let span = trrip_obs::span!("decode");
-        let outcome = decode_chunk(&payload, record_count, &mut batch);
+        let outcome = decode_chunk(&payload, record_count, &mut decoded)
+            .map(|()| decoded.chunks(SUB_BATCH).map(Batch::from).collect())
+            .map_err(Arc::new);
         drop(span);
         let _ = recycle.send(payload);
-        let message = match outcome {
-            Ok(()) => Decoded::Batch(seq, Arc::from(batch)),
-            Err(e) => Decoded::Fail(seq, Arc::new(e)),
-        };
-        if results.send(message).is_err() {
+        if results.send((seq, outcome)).is_err() {
             return; // broadcaster is gone (all consumers dropped)
         }
     }
 }
 
-/// Restores chunk order and clones each batch to every live subscriber.
+/// Restores chunk order and clones each sub-batch, in order, to every
+/// live subscriber.
 fn broadcast_loop(results: &Receiver<Decoded>, subscribers: &mut [Option<SyncSender<Delivery>>]) {
     let mut next = 0u64;
-    let mut pending: BTreeMap<u64, Delivery> = BTreeMap::new();
+    let mut pending = BTreeMap::new();
     loop {
-        let Ok(decoded) = results.recv() else {
+        let Ok((seq, item)) = results.recv() else {
             return; // io + workers all done; trace fully delivered
-        };
-        let (seq, item) = match decoded {
-            Decoded::Batch(seq, batch) => (seq, Ok(batch)),
-            Decoded::Fail(seq, error) => (seq, Err(error)),
         };
         pending.insert(seq, item);
         while let Some(item) = pending.remove(&next) {
             next += 1;
             match item {
-                Ok(batch) => {
-                    let mut live = false;
-                    for slot in subscribers.iter_mut() {
-                        if let Some(tx) = slot {
-                            if tx.send(Ok(Arc::clone(&batch))).is_err() {
-                                *slot = None; // dropped early: unsubscribe
-                            } else {
-                                live = true;
+                Ok(batches) => {
+                    for batch in batches {
+                        let mut live = false;
+                        for slot in subscribers.iter_mut() {
+                            if let Some(tx) = slot {
+                                if tx.send(Ok(Arc::clone(&batch))).is_err() {
+                                    *slot = None; // dropped early: unsubscribe
+                                } else {
+                                    live = true;
+                                }
                             }
                         }
-                    }
-                    if !live {
-                        return;
+                        if !live {
+                            return;
+                        }
                     }
                 }
                 Err(error) => {
@@ -308,9 +316,9 @@ fn broadcast_loop(results: &Receiver<Decoded>, subscribers: &mut [Option<SyncSen
     }
 }
 
-/// One consumer's view of a fan-out stream: a [`TraceSource`] yielding
-/// the trace's batches in file order, shared (not re-decoded) with every
-/// other subscriber of the same [`FanoutReplay`].
+/// One consumer's view of a fan-out stream: a [`TraceSource`] lending
+/// the trace's sub-batches in file order, shared (not re-decoded, not
+/// copied) with every other subscriber of the same [`FanoutReplay`].
 #[derive(Debug)]
 pub struct FanoutSubscriber {
     /// `Some` until dropped; taken in `Drop` so the pipeline unblocks.
@@ -328,21 +336,34 @@ impl FanoutSubscriber {
 }
 
 impl TraceSource for FanoutSubscriber {
+    /// Copies the next sub-batch into `out`. [`SourceIter`] reads the
+    /// lent batches in place instead, and comes here only at the end of
+    /// the stream.
+    ///
+    /// [`SourceIter`]: crate::SourceIter
+    ///
+    /// # Panics
+    ///
+    /// As [`FanoutSubscriber::lend_batch`].
+    fn next_batch(&mut self, out: &mut Vec<TraceInstr>) -> usize {
+        self.lend_batch().map_or(0, |batch| {
+            out.extend_from_slice(&batch);
+            batch.len()
+        })
+    }
+
+    /// The next shared sub-batch, the very allocation every other
+    /// subscriber reads; `None` once the stream has ended.
+    ///
     /// # Panics
     ///
     /// Panics if the pipeline reports a corrupt trace; header problems
     /// surface earlier, in [`FanoutReplay::open`].
-    fn next_batch(&mut self, out: &mut Vec<TraceInstr>) -> usize {
-        let Some(deliveries) = self.deliveries.as_ref() else {
-            return 0;
-        };
-        match deliveries.recv() {
-            Ok(Ok(batch)) => {
-                out.extend_from_slice(&batch);
-                batch.len()
-            }
+    fn lend_batch(&mut self) -> Option<Batch> {
+        match self.deliveries.as_ref()?.recv() {
+            Ok(Ok(batch)) => Some(batch),
             Ok(Err(e)) => panic!("replaying trace {}: {e}", self.meta().name),
-            Err(_) => 0, // pipeline finished and disconnected
+            Err(_) => None, // pipeline finished and disconnected
         }
     }
 }
@@ -389,6 +410,12 @@ mod tests {
         std::env::temp_dir().join("trrip-fanout-unit")
     }
 
+    /// A chunk size and a trace length that are multiples of neither the
+    /// sub-batch size nor each other: every chunk ends in a partial
+    /// sub-batch, and the trace ends in a partial chunk.
+    const UNEVEN_CHUNK: u32 = 2 * SUB_BATCH as u32 + 100;
+    const UNEVEN_LEN: u64 = 3 * UNEVEN_CHUNK as u64 + SUB_BATCH as u64 + 7;
+
     #[test]
     fn every_subscriber_sees_the_whole_trace_in_order() {
         let path = write_trace(&tmp(), 1000, 64);
@@ -411,14 +438,83 @@ mod tests {
 
     #[test]
     fn early_drop_leaves_other_subscribers_intact() {
-        let path = write_trace(&tmp(), 2000, 32);
-        let mut subs = FanoutReplay::open(&path, 2).expect("open");
-        let survivor = subs.pop().expect("two subscribers");
-        let quitter = subs.pop().expect("two subscribers");
-        // One consumer takes a handful of instructions and drops.
+        // Many times the per-subscriber buffer, in chunks of several
+        // sub-batches: a dropped subscriber that stayed subscribed would
+        // fill its channel and block the others.
+        let n = 5 * SUBSCRIBER_BUFFER as u64 + 77;
+        let path = write_trace(&tmp(), n, UNEVEN_CHUNK);
+        let mut subs = FanoutReplay::open(&path, 3).expect("open");
+        let survivor = subs.pop().expect("three subscribers");
+        let quitter = subs.pop().expect("three subscribers");
+        drop(subs); // one consumer quits before reading anything
+                    // Another takes a handful of instructions and drops, mid-way
+                    // through a lent sub-batch.
         assert_eq!(SourceIter::new(quitter).take(40).count(), 40);
-        // The other still gets every instruction.
-        assert_eq!(SourceIter::new(survivor).count(), 2000);
+        // The last still gets every instruction.
+        assert_eq!(SourceIter::new(survivor).count() as u64, n);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn subscribers_read_one_shared_copy_in_place() {
+        let path = write_trace(&tmp().join("in-place"), UNEVEN_LEN, UNEVEN_CHUNK);
+        let reference: Vec<TraceInstr> =
+            SourceIter::new(reader::open(&path).expect("open")).collect();
+        let mut subs = FanoutReplay::open(&path, 2).expect("open");
+        let mut b = SourceIter::new(subs.pop().expect("two subscribers"));
+        let mut a = SourceIter::new(subs.pop().expect("two subscribers"));
+        // Lockstep reads: both iterators are on the same sub-batch, and
+        // each slice must be the same memory, not an equal copy.
+        let mut at = 0;
+        loop {
+            let (sa, sb) = (a.next_slice(1500), b.next_slice(1500));
+            assert_eq!(sa.len(), sb.len());
+            if sa.is_empty() {
+                break;
+            }
+            assert_eq!(sa.as_ptr(), sb.as_ptr(), "records {at}.. were copied");
+            assert_eq!(sa, &reference[at..at + sa.len()]);
+            at += sa.len();
+        }
+        assert_eq!(at as u64, UNEVEN_LEN);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn uneven_trace_arrives_complete_in_order_in_sub_batches() {
+        let path = write_trace(&tmp().join("uneven"), UNEVEN_LEN, UNEVEN_CHUNK);
+        let reference: Vec<TraceInstr> =
+            SourceIter::new(reader::open(&path).expect("open")).collect();
+        // Each chunk is cut into full sub-batches and one partial one.
+        let expected_sizes: Vec<usize> = reference
+            .chunks(UNEVEN_CHUNK as usize)
+            .flat_map(|chunk| chunk.chunks(SUB_BATCH).map(<[_]>::len))
+            .collect();
+        let tail = UNEVEN_LEN % u64::from(UNEVEN_CHUNK) % SUB_BATCH as u64;
+        assert_eq!(expected_sizes.last().copied(), Some(tail as usize));
+        assert!(tail > 0, "the trace must end in a partial sub-batch");
+        let subs = FanoutReplay::open(&path, 3).expect("open");
+        let streams: Vec<(Vec<usize>, Vec<TraceInstr>)> = std::thread::scope(|scope| {
+            subs.into_iter()
+                .map(|mut sub| {
+                    scope.spawn(move || {
+                        let (mut sizes, mut records) = (Vec::new(), Vec::new());
+                        while let Some(batch) = sub.lend_batch() {
+                            sizes.push(batch.len());
+                            records.extend_from_slice(&batch);
+                        }
+                        (sizes, records)
+                    })
+                })
+                .collect::<Vec<_>>()
+                .into_iter()
+                .map(|h| h.join().expect("subscriber thread"))
+                .collect()
+        });
+        for (sizes, records) in &streams {
+            assert_eq!(sizes, &expected_sizes);
+            assert_eq!(records, &reference);
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -22,9 +22,10 @@
 //!   [`FanoutSubscriber`], and by the in-memory walker in
 //!   `trrip-workloads`.
 //! * [`fanout`] — the decode-once fan-out engine: one parallel-decoded
-//!   stream of shared `Arc<[TraceInstr]>` batches broadcast to N
-//!   consumers, so a policy sweep pays disk + decode once per workload
-//!   instead of once per policy.
+//!   stream of shared `Arc<[TraceInstr]>` sub-batches broadcast to N
+//!   consumers, which read them in place ([`TraceSource::lend_batch`]),
+//!   so a policy sweep pays disk + decode once per workload instead of
+//!   once per policy, and keeps one copy of the decoded stream.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

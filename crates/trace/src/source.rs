@@ -1,5 +1,7 @@
 //! The [`TraceSource`] abstraction the simulator consumes.
 
+use std::sync::Arc;
+
 use trrip_cpu::TraceInstr;
 
 /// A producer of instruction batches.
@@ -23,11 +25,29 @@ pub trait TraceSource {
     /// replay loop allocation-free. A non-empty `out` is always handled
     /// correctly (the batch is appended), but disables that hand-over.
     fn next_batch(&mut self, out: &mut Vec<TraceInstr>) -> usize;
+
+    /// Lends the next batch in place, as a batch shared with whoever
+    /// else reads it, instead of copying it into a caller buffer.
+    /// [`SourceIter`] asks here first and serves its slices straight out
+    /// of the lent batch.
+    ///
+    /// `None` means nothing was lent: the caller pulls the batch through
+    /// [`TraceSource::next_batch`] instead, which also reports the end of
+    /// the stream. The default lends nothing; sources whose batches are
+    /// already shared — [`crate::FanoutSubscriber`] — override it, and
+    /// return `None` only once they are exhausted.
+    fn lend_batch(&mut self) -> Option<Arc<[TraceInstr]>> {
+        None
+    }
 }
 
 impl<S: TraceSource + ?Sized> TraceSource for &mut S {
     fn next_batch(&mut self, out: &mut Vec<TraceInstr>) -> usize {
         (**self).next_batch(out)
+    }
+
+    fn lend_batch(&mut self) -> Option<Arc<[TraceInstr]>> {
+        (**self).lend_batch()
     }
 }
 
@@ -35,6 +55,8 @@ impl<S: TraceSource + ?Sized> TraceSource for &mut S {
 #[derive(Debug)]
 pub struct SourceIter<S> {
     source: S,
+    /// The current batch when the source lent it; `buf` otherwise.
+    lent: Option<Arc<[TraceInstr]>>,
     buf: Vec<TraceInstr>,
     pos: usize,
 }
@@ -43,7 +65,7 @@ impl<S: TraceSource> SourceIter<S> {
     /// Wraps a source.
     #[must_use]
     pub fn new(source: S) -> SourceIter<S> {
-        SourceIter { source, buf: Vec::new(), pos: 0 }
+        SourceIter { source, lent: None, buf: Vec::new(), pos: 0 }
     }
 
     /// The wrapped source.
@@ -56,25 +78,42 @@ impl<S: TraceSource> SourceIter<S> {
     /// iterator past it. An empty slice means the source is exhausted
     /// (or `limit == 0`). Interleaves freely with [`Iterator::next`].
     ///
-    /// This is the batched fast path: a disk replay's decoded chunk (or
-    /// the walker's batch) flows to the consumer as one slice instead of
-    /// one `next()` call per instruction. The slice never crosses a
-    /// batch boundary, so callers loop until they have their fill.
+    /// This is the batched fast path: a disk replay's decoded chunk, a
+    /// fan-out subscriber's lent sub-batch (read in place, shared with
+    /// the other subscribers) or the walker's batch flows to the
+    /// consumer as one slice instead of one `next()` call per
+    /// instruction. The slice never crosses a batch boundary, so callers
+    /// loop until they have their fill.
     pub fn next_slice(&mut self, limit: usize) -> &[TraceInstr] {
-        if limit == 0 {
+        if limit == 0 || !self.refill() {
             return &[];
         }
-        while self.pos == self.buf.len() {
-            self.buf.clear();
+        let start = self.pos;
+        let n = limit.min(self.batch().len() - start);
+        self.pos += n;
+        &self.batch()[start..start + n]
+    }
+
+    /// The current batch: the lent one, or the owned buffer.
+    fn batch(&self) -> &[TraceInstr] {
+        self.lent.as_deref().unwrap_or(&self.buf)
+    }
+
+    /// Moves on to the next non-empty batch once the current one is
+    /// spent — a lent batch if the source lends one, the owned buffer
+    /// refilled otherwise. Returns false when the source is exhausted.
+    fn refill(&mut self) -> bool {
+        while self.pos == self.batch().len() {
             self.pos = 0;
-            if self.source.next_batch(&mut self.buf) == 0 {
-                return &[];
+            self.lent = self.source.lend_batch();
+            if self.lent.is_none() {
+                self.buf.clear();
+                if self.source.next_batch(&mut self.buf) == 0 {
+                    return false;
+                }
             }
         }
-        let n = limit.min(self.buf.len() - self.pos);
-        let start = self.pos;
-        self.pos += n;
-        &self.buf[start..start + n]
+        true
     }
 }
 
@@ -82,14 +121,10 @@ impl<S: TraceSource> Iterator for SourceIter<S> {
     type Item = TraceInstr;
 
     fn next(&mut self) -> Option<TraceInstr> {
-        while self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-            if self.source.next_batch(&mut self.buf) == 0 {
-                return None;
-            }
+        if !self.refill() {
+            return None;
         }
-        let instr = self.buf[self.pos];
+        let instr = self.batch()[self.pos];
         self.pos += 1;
         Some(instr)
     }
@@ -148,6 +183,29 @@ mod tests {
         assert_eq!(iter.next_slice(100), &instrs[9..]);
         assert!(iter.next_slice(100).is_empty(), "exhausted source yields an empty slice");
         assert_eq!(iter.next(), None);
+    }
+
+    #[test]
+    fn lent_batches_are_served_in_place() {
+        struct Lender(std::vec::IntoIter<Arc<[TraceInstr]>>);
+        impl TraceSource for Lender {
+            fn next_batch(&mut self, _: &mut Vec<TraceInstr>) -> usize {
+                0 // reached only once nothing is left to lend
+            }
+            fn lend_batch(&mut self) -> Option<Arc<[TraceInstr]>> {
+                self.0.next()
+            }
+        }
+        let instrs: Vec<_> = (0..10).map(|i| TraceInstr::simple(0x1000 + i * 4)).collect();
+        let batches: Vec<Arc<[TraceInstr]>> = instrs.chunks(4).map(Arc::from).collect();
+        let mut iter = SourceIter::new(Lender(batches.clone().into_iter()));
+        assert_eq!(iter.next(), Some(instrs[0]));
+        let slice = iter.next_slice(100);
+        assert_eq!(slice, &instrs[1..4]);
+        assert_eq!(slice.as_ptr(), batches[0][1..].as_ptr(), "read in place, not copied");
+        assert_eq!(iter.next_slice(100).as_ptr(), batches[1].as_ptr());
+        assert_eq!(iter.by_ref().collect::<Vec<_>>(), &instrs[8..]);
+        assert!(iter.next_slice(100).is_empty());
     }
 
     #[test]
